@@ -114,6 +114,8 @@ int main() {
   Result<std::unique_ptr<ProcHandle>> child =
       world->procs().Spawn(world->init_context(), "hello", {});
   Result<int64_t> status = child.value()->Wait(init);
+  // Reaping revokes the child and gives back init's ownership of its pr/pw.
+  child.value()->Destroy(init);
   std::printf("\nspawned a process through the user-level library; exit status: %lld\n",
               static_cast<long long>(status.value()));
   std::printf("kernel syscalls so far: %llu — every one of them label-checked\n",

@@ -294,6 +294,7 @@ int64_t AvScanMain(ProcessContext& ctx) {
         continue;
       }
       Result<int64_t> st = h.value()->Wait(ctx.self);
+      h.value()->Destroy(ctx.self);
       if (!st.ok() || st.value() != 0) {
         continue;
       }

@@ -298,6 +298,9 @@ std::string WebServer::HandleConnection(uint64_t conn) {
       resp.append(rbuf, n.value());
     }
     worker.value()->Wait(world_->init_thread(), 5000);
+    // Reap it as init, its spawner: init sheds the worker's pr/pw, so its
+    // label does not grow by two categories per request.
+    worker.value()->Destroy(world_->init_thread());
   }
   if (resp.empty()) {
     resp = "500 worker-failed\n";

@@ -102,15 +102,17 @@ Result<WrapResult> WrapScan(ProcessContext& ctx, const std::vector<std::string>&
     result.killed = true;
   }
   scanner.value()->Wait(self, result.completed ? opts.timeout_ms : 1);
+  // Reap the scanner before severing its area, so wrap sheds the scanner's
+  // pr/pw along with it.
+  scanner.value()->Destroy(self);
   k->sys_container_unref(self, ContainerEntry{k->root_container(), area.value()});
   k->sys_container_unref(self, ContainerEntry{k->root_container(), priv_tmp.value()});
   pipe_fds.Close(self, pipe.value().first);
   pipe_fds.Close(self, pipe.value().second);
 
-  // 7. Shed the v ownership: the category dies with the scan.
-  Label mine = k->sys_self_get_label(self).value();
-  mine.set(v.value(), Level::k1);
-  k->sys_self_set_label(self, mine);
+  // 7. Shed the v ownership, label and clearance: the category dies with
+  // the scan.
+  ShedCategories(k, self, {v.value()});
   return result;
 }
 

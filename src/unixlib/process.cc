@@ -21,6 +21,38 @@ Label MergeEntries(Label base, const Label& extra) {
   return base;
 }
 
+// Installs a label, then a clearance, as ONE batch (order is preserved
+// within a batch, and both entries land on self's shard).
+Status SetLabelAndClearance(Kernel* k, ObjectId self, Label label, Label clearance) {
+  SyscallReq reqs[2] = {SyscallReq{SelfSetLabelReq{std::move(label)}},
+                        SyscallReq{SelfSetClearanceReq{std::move(clearance)}}};
+  SyscallRes res[2];
+  k->SubmitBatch(self, reqs, res);
+  Status st = std::get<SelfSetLabelRes>(res[0]).status;
+  return st != Status::kOk ? st : std::get<SelfSetClearanceRes>(res[1]).status;
+}
+
+// The body of ShedCategories, given self's current label and clearance:
+// for each category in `cats` that the label owns, c⋆ leaves the label and
+// a matching c3 leaves the clearance (both fall back to their defaults).
+// No syscall at all when none is owned.
+Status ShedOwned(Kernel* k, ObjectId self, std::initializer_list<CategoryId> cats, Label label,
+                 Label clearance) {
+  bool any = false;
+  for (CategoryId c : cats) {
+    if (!label.Owns(c)) {
+      continue;
+    }
+    label.set(c, label.default_level());
+    if (clearance.get(c) == Level::k3) {
+      clearance.set(c, clearance.default_level());
+    }
+    any = true;
+  }
+  return any ? SetLabelAndClearance(k, self, std::move(label), std::move(clearance))
+             : Status::kOk;
+}
+
 // Gate entry for Unix signals (§5.6): reads the signal number out of the
 // invoking thread's local segment and alerts the target process's thread.
 // Runs with the process's pr*/pw* (granted by the gate), which is exactly
@@ -666,23 +698,46 @@ Status ProcHandle::Kill(ObjectId self, int signo) {
   if (st != Status::kOk) {
     return st;
   }
-  // Restore label then clearance — one batch again (order preserved within
-  // a batch, and both land on self's shard).
-  SyscallReq post[2] = {SyscallReq{SelfSetLabelReq{mine.label}},
-                        SyscallReq{SelfSetClearanceReq{myclear.clearance}}};
-  SyscallRes post_res[2];
-  kernel_->SubmitBatch(self, post, post_res);
+  // Restore label then clearance — one batch again.
+  SetLabelAndClearance(kernel_, self, std::move(mine.label), std::move(myclear.clearance));
   return Status::kOk;
 }
 
 Status ProcHandle::Destroy(ObjectId self) {
   // Resource revocation does not require any ability to observe or modify
   // the process — only write access to the containing container (§3.2).
-  Result<ObjectId> parent = kernel_->sys_container_get_parent(self, ids_.proc_ct);
-  if (!parent.ok()) {
-    return parent.status();
+  // The caller's label and clearance ride in the same batch, for the shed
+  // below.
+  SyscallReq reqs[3] = {
+      SyscallReq{ContainerUnrefReq{ContainerEntry{ids_.proc_parent, ids_.proc_ct}}},
+      SyscallReq{SelfGetLabelReq{}}, SyscallReq{SelfGetClearanceReq{}}};
+  SyscallRes res[3];
+  kernel_->SubmitBatch(self, reqs, res);
+  SelfGetLabelRes& mine = std::get<SelfGetLabelRes>(res[1]);
+  SelfGetClearanceRes& myclear = std::get<SelfGetClearanceRes>(res[2]);
+  for (Status st : {std::get<ContainerUnrefRes>(res[0]).status, mine.status, myclear.status}) {
+    if (st != Status::kOk) {
+      return st;
+    }
   }
-  return kernel_->sys_container_unref(self, ContainerEntry{parent.value(), ids_.proc_ct});
+  // The child is gone: give back the pr/pw ownership held since Spawn.
+  // Registry entries are never freed, so a spawner that kept them would
+  // grow its label — and every label interned from it — with its whole
+  // history. A non-owner (the §3.2 administrator) has nothing to shed.
+  return ShedOwned(kernel_, self, {ids_.pr, ids_.pw}, std::move(mine.label),
+                   std::move(myclear.clearance));
+}
+
+Status ShedCategories(Kernel* kernel, ObjectId self, std::initializer_list<CategoryId> cats) {
+  SyscallReq pre[2] = {SyscallReq{SelfGetLabelReq{}}, SyscallReq{SelfGetClearanceReq{}}};
+  SyscallRes pre_res[2];
+  kernel->SubmitBatch(self, pre, pre_res);
+  SelfGetLabelRes& mine = std::get<SelfGetLabelRes>(pre_res[0]);
+  SelfGetClearanceRes& myclear = std::get<SelfGetClearanceRes>(pre_res[1]);
+  if (mine.status != Status::kOk || myclear.status != Status::kOk) {
+    return mine.status != Status::kOk ? mine.status : myclear.status;
+  }
+  return ShedOwned(kernel, self, cats, std::move(mine.label), std::move(myclear.clearance));
 }
 
 // ---- ProcessManager -----------------------------------------------------------------
@@ -760,6 +815,7 @@ Result<ProcessIds> ProcessManager::CreateProcessObjects(ObjectId creator,
   if (!proc_ct.ok()) {
     return proc_ct.status();
   }
+  ids.proc_parent = pspec.container;
   ids.proc_ct = proc_ct.value();
 
   CreateSpec ispec;

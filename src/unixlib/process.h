@@ -15,6 +15,7 @@
 #define SRC_UNIXLIB_PROCESS_H_
 
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -38,6 +39,7 @@ struct UnixEnv {
 
 // Kernel object ids making up one process (Figure 6).
 struct ProcessIds {
+  ObjectId proc_parent = kInvalidObject;  // holds proc_ct; Destroy unrefs it there
   ObjectId proc_ct = kInvalidObject;      // {pw0, 1}
   ObjectId internal_ct = kInvalidObject;  // {pr3, pw0, 1}
   ObjectId thread = kInvalidObject;       // {pr*, pw*, …, 1}
@@ -217,7 +219,9 @@ class ProcHandle {
   // Sends a Unix signal through the child's signal gate.
   Status Kill(ObjectId self, int signo);
   // Severs the process subtree (resource revocation, §3.2): works even if
-  // the target never cooperates.
+  // the target never cooperates. Then sheds self's ownership of the child's
+  // pr/pw, so a spawner holds it exactly from Spawn to Destroy; a caller
+  // that does not own them keeps its label untouched.
   Status Destroy(ObjectId self);
 
   void AttachHost(std::thread t) { host_ = std::move(t); }
@@ -228,6 +232,14 @@ class ProcHandle {
   ProcessIds ids_;
   std::thread host_;
 };
+
+// Gives up self's ownership of `cats` (a reaped child's pr/pw, wrap's v
+// after its scan): for each category self owns, c⋆ leaves its label and a
+// matching c3 leaves its clearance. Dropping ownership raises the label and
+// lowering clearance is always permitted, so this only ever removes
+// privilege. Like ProcHandle::Kill it reads and then rewrites self's label,
+// so no other host thread may relabel the same kernel thread meanwhile.
+Status ShedCategories(Kernel* kernel, ObjectId self, std::initializer_list<CategoryId> cats);
 
 class ProcessManager {
  public:

@@ -62,6 +62,34 @@ class WebServiceTest : public ::testing::Test {
       resp.append(buf, n.value());
     }
     h.value()->Wait(world_->init_thread(), 5000);
+    h.value()->Destroy(world_->init_thread());
+    if (!resp.empty() && resp.back() == '\n') {
+      resp.pop_back();
+    }
+    return resp;
+  }
+
+  // Sends one request line over a fresh connection and returns the
+  // response line.
+  static std::string HttpRequest(NetDaemon* client, ObjectId browser, MacAddr server,
+                                 const std::string& line) {
+    Result<uint64_t> conn = client->Connect(browser, server, 80);
+    EXPECT_TRUE(conn.ok());
+    std::string msg = line + "\n";
+    EXPECT_TRUE(client->Send(browser, conn.value(), msg.data(), msg.size()).ok());
+    std::string resp;
+    char buf[512];
+    for (;;) {
+      Result<uint64_t> n = client->Recv(browser, conn.value(), buf, sizeof(buf), 10000);
+      if (!n.ok() || n.value() == 0) {
+        break;
+      }
+      resp.append(buf, n.value());
+      if (resp.find('\n') != std::string::npos) {
+        break;
+      }
+    }
+    client->CloseSocket(browser, conn.value());
     if (!resp.empty() && resp.back() == '\n') {
       resp.pop_back();
     }
@@ -208,28 +236,7 @@ TEST_F(WebServiceTest, EndToEndOverTheNetwork) {
   CurrentThread bind(browser);
 
   auto request = [&](const std::string& line) {
-    Result<uint64_t> conn = client_stack->Connect(browser, server_stack->mac(), 80);
-    EXPECT_TRUE(conn.ok());
-    std::string msg = line + "\n";
-    EXPECT_TRUE(client_stack->Send(browser, conn.value(), msg.data(), msg.size()).ok());
-    std::string resp;
-    char buf[512];
-    for (;;) {
-      Result<uint64_t> n =
-          client_stack->Recv(browser, conn.value(), buf, sizeof(buf), 10000);
-      if (!n.ok() || n.value() == 0) {
-        break;
-      }
-      resp.append(buf, n.value());
-      if (resp.find('\n') != std::string::npos) {
-        break;
-      }
-    }
-    client_stack->CloseSocket(browser, conn.value());
-    if (!resp.empty() && resp.back() == '\n') {
-      resp.pop_back();
-    }
-    return resp;
+    return HttpRequest(client_stack.get(), browser, server_stack->mac(), line);
   };
 
   EXPECT_EQ(request("GET alice/ssn PASS wonderland"), "200 123-45-6789");
@@ -240,6 +247,49 @@ TEST_F(WebServiceTest, EndToEndOverTheNetwork) {
   EXPECT_EQ(request("garbage"), "400 bad");
   EXPECT_EQ(web->requests_served(), 6u);
   web->Stop();
+  server_stack->Stop();
+  client_stack->Stop();
+}
+
+TEST_F(WebServiceTest, DemuxReapsWorkersSoInitLabelStaysBounded) {
+  // The demux spawns each worker as init, and init owns every worker's
+  // pr/pw until Destroy reaps it. So init's label and clearance are as
+  // large after 20 requests as after 1. The demux reaps a worker before it
+  // sends the response, so each reply orders the check after the reap.
+  // 20 connections stay well under netd's socket limit.
+  NetSwitch net;
+  std::unique_ptr<NetDaemon> server_stack =
+      NetDaemon::Start(world_.get(), net.NewPort(), "netd-s");
+  std::unique_ptr<NetDaemon> client_stack =
+      NetDaemon::Start(world_.get(), net.NewPort(), "netd-c");
+  ASSERT_NE(server_stack, nullptr);
+  ASSERT_NE(client_stack, nullptr);
+  std::unique_ptr<WebServer> web =
+      WebServer::Start(world_.get(), server_stack.get(), auth_.get(), store_.get(), 80);
+  ASSERT_NE(web, nullptr);
+  ObjectId browser = kernel_->BootstrapThread(
+      client_stack->ClientTaint(), Label(Level::k2, {{client_stack->taint().i, Level::k3}}),
+      "browser");
+  CurrentThread bind(browser);
+  ObjectId init = world_->init_thread();
+  auto sizes = [&] {
+    return std::make_pair(kernel_->sys_self_get_label(init).value().entry_count(),
+                          kernel_->sys_self_get_clearance(init).value().entry_count());
+  };
+
+  ASSERT_EQ(HttpRequest(client_stack.get(), browser, server_stack->mac(),
+                        "GET alice/ssn PASS wonderland"),
+            "200 123-45-6789");
+  std::pair<size_t, size_t> after_one = sizes();
+  for (int i = 1; i < 20; ++i) {
+    ASSERT_EQ(HttpRequest(client_stack.get(), browser, server_stack->mac(),
+                          "GET alice/ssn PASS wonderland"),
+              "200 123-45-6789")
+        << "request " << i;
+  }
+  EXPECT_EQ(sizes(), after_one);
+  web->Stop();
+  EXPECT_EQ(web->requests_served(), 20u);
   server_stack->Stop();
   client_stack->Stop();
 }

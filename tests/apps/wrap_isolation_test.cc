@@ -107,6 +107,20 @@ TEST_F(WrapTest, EncodedFileIsDecodedByHelperAndDetected) {
   EXPECT_NE(r.value().report.infected[0].find("Worm.Test"), std::string::npos);
 }
 
+TEST_F(WrapTest, ScanLeavesWrapLabelAndClearanceAsTheyWere) {
+  // wrap reaps the scanner (shedding its pr/pw) and then sheds v from its
+  // label AND clearance: nothing of the scan stays in wrap's privilege.
+  WriteBobFile("packed.bin", "R13:nothing to see");
+  ObjectId self = world_->init_thread();
+  Label label0 = kernel_->sys_self_get_label(self).value();
+  Label clear0 = kernel_->sys_self_get_clearance(self).value();
+  Result<WrapResult> r = WrapScan(world_->init_context(), {"/home/bob/packed.bin"}, BobOpts());
+  ASSERT_TRUE(r.ok()) << StatusName(r.status());
+  ASSERT_TRUE(r.value().completed);
+  EXPECT_EQ(kernel_->sys_self_get_label(self).value(), label0);
+  EXPECT_EQ(kernel_->sys_self_get_clearance(self).value(), clear0);
+}
+
 TEST_F(WrapTest, MultipleFilesMixedVerdicts) {
   WriteBobFile("a.txt", "clean");
   WriteBobFile("b.bin", "MALICIOUS-PAYLOAD");

@@ -50,7 +50,7 @@ TEST(HistarLint, RuleNamesAreStableAndComplete) {
       "second-table-lock",    "registry-bypass",
       "epoch-guard-blocking", "nofail-region-check",
       "shard-mutex-outside-tablelock", "raw-sync-primitive",
-      "raw-clock-read",
+      "raw-clock-read",       "wait-without-reap",
   };
   EXPECT_EQ(names, expected);
 }

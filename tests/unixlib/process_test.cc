@@ -280,6 +280,94 @@ TEST_F(ProcessTest, DestroyRevokesWithoutCooperation) {
   spin.store(false);  // let the host thread unwind
 }
 
+TEST_F(ProcessTest, SpawnWaitDestroyCyclesLeaveSpawnerLabelUnchanged) {
+  // Ownership of a child's pr/pw lasts from Spawn to Destroy, so the
+  // spawner's label does not grow with its history.
+  procs().RegisterProgram("true", [](ProcessContext&) -> int64_t { return 0; });
+  Label label0 = kernel_->sys_self_get_label(init().self).value();
+  Label clear0 = kernel_->sys_self_get_clearance(init().self).value();
+  for (int i = 0; i < 64; ++i) {
+    Result<std::unique_ptr<ProcHandle>> h = procs().Spawn(init(), "true", {});
+    ASSERT_TRUE(h.ok()) << StatusName(h.status());
+    ASSERT_TRUE(h.value()->Wait(init().self).ok());
+    ASSERT_EQ(h.value()->Destroy(init().self), Status::kOk);
+  }
+  EXPECT_EQ(kernel_->sys_self_get_label(init().self).value(), label0);
+  EXPECT_EQ(kernel_->sys_self_get_clearance(init().self).value(), clear0);
+}
+
+TEST_F(ProcessTest, DestroyShedsChildCategories) {
+  procs().RegisterProgram("true", [](ProcessContext&) -> int64_t { return 0; });
+  Result<std::unique_ptr<ProcHandle>> h = procs().Spawn(init(), "true", {});
+  ASSERT_TRUE(h.ok());
+  const ProcessIds ids = h.value()->ids();
+  ASSERT_TRUE(h.value()->Wait(init().self).ok());
+  Label before = kernel_->sys_self_get_label(init().self).value();
+  ASSERT_TRUE(before.Owns(ids.pr));
+  ASSERT_TRUE(before.Owns(ids.pw));
+  ASSERT_EQ(h.value()->Destroy(init().self), Status::kOk);
+  Label after = kernel_->sys_self_get_label(init().self).value();
+  Label clear = kernel_->sys_self_get_clearance(init().self).value();
+  EXPECT_FALSE(after.Owns(ids.pr));
+  EXPECT_FALSE(after.Owns(ids.pw));
+  EXPECT_EQ(clear.get(ids.pr), clear.default_level());
+  EXPECT_EQ(clear.get(ids.pw), clear.default_level());
+}
+
+TEST_F(ProcessTest, DestroyOfRunningChildRevokesAndSheds) {
+  std::atomic<bool> spin{true};
+  procs().RegisterProgram("stubborn", [&](ProcessContext& ctx) -> int64_t {
+    while (spin.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      if (ctx.kernel->sys_self_get_label(ctx.self).status() == Status::kHalted) {
+        return -1;
+      }
+    }
+    return 0;
+  });
+  Label label0 = kernel_->sys_self_get_label(init().self).value();
+  Result<std::unique_ptr<ProcHandle>> h = procs().Spawn(init(), "stubborn", {});
+  ASSERT_TRUE(h.ok());
+  const ProcessIds ids = h.value()->ids();
+  ASSERT_EQ(h.value()->Destroy(init().self), Status::kOk);
+  EXPECT_FALSE(kernel_->ObjectExists(ids.thread));
+  Label after = kernel_->sys_self_get_label(init().self).value();
+  EXPECT_FALSE(after.Owns(ids.pr));
+  EXPECT_FALSE(after.Owns(ids.pw));
+  EXPECT_EQ(after, label0);
+  spin.store(false);
+}
+
+TEST_F(ProcessTest, NonOwnerDestroyRevokesAndLeavesItsLabelUntouched) {
+  // The §3.2 administrator: write access to the parent container, no
+  // ownership of the child's categories. Destroy revokes and sheds nothing.
+  std::atomic<bool> spin{true};
+  procs().RegisterProgram("stubborn", [&](ProcessContext& ctx) -> int64_t {
+    while (spin.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      if (ctx.kernel->sys_self_get_label(ctx.self).status() == Status::kHalted) {
+        return -1;
+      }
+    }
+    return 0;
+  });
+  Result<std::unique_ptr<ProcHandle>> h = procs().Spawn(init(), "stubborn", {});
+  ASSERT_TRUE(h.ok());
+  const ProcessIds ids = h.value()->ids();
+  ObjectId admin = kernel_->BootstrapThread(Label(), Label(Level::k2), "admin");
+  Label admin_label = kernel_->sys_self_get_label(admin).value();
+  Label admin_clear = kernel_->sys_self_get_clearance(admin).value();
+  uint64_t admin_syscalls = kernel_->thread_syscall_count(admin);
+  ProcHandle admin_view(kernel_.get(), ids);
+  ASSERT_EQ(admin_view.Destroy(admin), Status::kOk);
+  EXPECT_FALSE(kernel_->ObjectExists(ids.thread));
+  // One batch — unref, label read, clearance read — and no relabel.
+  EXPECT_EQ(kernel_->thread_syscall_count(admin) - admin_syscalls, 3u);
+  EXPECT_EQ(kernel_->sys_self_get_label(admin).value(), admin_label);
+  EXPECT_EQ(kernel_->sys_self_get_clearance(admin).value(), admin_clear);
+  spin.store(false);
+}
+
 TEST_F(ProcessTest, SpawnIsCheaperThanForkExecInSyscalls) {
   // §7.1's headline: fork+exec needs ~2.5× the syscalls of spawn. We verify
   // the ordering and a sensible gap, not the exact 317/127 (our scaffolding

@@ -138,6 +138,7 @@ const Rule kRules[] = {
     {"shard-mutex-outside-tablelock", AppliesSrcNotObjectTable, ExemptObjectTable},
     {"raw-sync-primitive", AppliesSrcNotSyncH, ExemptSyncH},
     {"raw-clock-read", AppliesSrcNotTrace, ExemptTrace},
+    {"wait-without-reap", AppliesSrc, ExemptNone},
 };
 
 bool RuleEnabled(const Rule& rule, const std::string& path,
@@ -336,6 +337,199 @@ void CheckScopedLine(const std::string& path, int lineno, const std::string& lin
   }
 }
 
+// ---- wait-without-reap -----------------------------------------------------------
+
+// True when the text before a `{` (back to the previous `;`, `{` or `}`)
+// opens a namespace, class, struct, union, enum or extern block rather
+// than code: a scope keyword after the last `)`, so `template <class T>
+// void f(T) {` is still a function.
+bool OpensScope(const std::string& prefix) {
+  size_t paren = prefix.rfind(')');
+  size_t from = paren == std::string::npos ? 0 : paren;
+  for (const char* kw : {"namespace", "class", "struct", "union", "enum", "extern"}) {
+    const size_t n = std::char_traits<char>::length(kw);
+    for (size_t pos = FindWord(prefix, kw, from); pos != std::string::npos;
+         pos = FindWord(prefix, kw, pos + 1)) {
+      if (pos + n >= prefix.size() || !IsIdentChar(prefix[pos + n])) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+// For a call written `recv.Name(` or `recv->Name(` whose `.`/`->` starts at
+// `op`, walks back over the receiver chain (identifiers, `.`, `->`, `(...)`,
+// `[...]`) and returns its root identifier; empty when there is none.
+std::string ReceiverRoot(const std::string& s, size_t op) {
+  size_t i = op;
+  std::string root;
+  for (;;) {
+    while (i > 0 && s[i - 1] == ' ') {
+      --i;
+    }
+    if (i == 0) {
+      return root;
+    }
+    char c = s[i - 1];
+    if (c == ')' || c == ']') {
+      char open = c == ')' ? '(' : '[';
+      int nest = 0;
+      while (i > 0) {
+        char d = s[--i];
+        nest += d == c ? 1 : d == open ? -1 : 0;
+        if (nest == 0) {
+          break;
+        }
+      }
+      continue;
+    }
+    if (!IsIdentChar(c)) {
+      return root;
+    }
+    size_t end = i;
+    while (i > 0 && IsIdentChar(s[i - 1])) {
+      --i;
+    }
+    root = s.substr(i, end - i);
+    size_t j = i;
+    while (j > 0 && s[j - 1] == ' ') {
+      --j;
+    }
+    if (j > 0 && s[j - 1] == '.') {
+      i = j - 1;
+    } else if (j > 1 && s[j - 1] == '>' && s[j - 2] == '-') {
+      i = j - 2;
+    } else {
+      return root;
+    }
+  }
+}
+
+// Positions of the `.`/`->` of every member call `.name(` / `->name(`.
+std::vector<size_t> MemberCalls(const std::string& s, const std::string& name) {
+  std::vector<size_t> out;
+  const std::string call = name + "(";
+  for (size_t pos = FindWord(s, call); pos != std::string::npos;
+       pos = FindWord(s, call, pos + 1)) {
+    size_t j = pos;
+    while (j > 0 && s[j - 1] == ' ') {
+      --j;
+    }
+    if (j > 0 && s[j - 1] == '.') {
+      out.push_back(j - 1);
+    } else if (j > 1 && s[j - 1] == '>' && s[j - 2] == '-') {
+      out.push_back(j - 2);
+    }
+  }
+  return out;
+}
+
+// Names declared as ProcHandles in `fn` (a function's signature + body,
+// cleaned and flattened to one line): `...ProcHandle>> name`, `ProcHandle*
+// name`, `ProcHandle name(`, and `name = ....Spawn(` / SpawnPath / Fork.
+std::vector<std::string> ProcHandleNames(const std::string& fn) {
+  static const std::string kType = "ProcHandle";
+  std::vector<std::string> names;
+  for (size_t pos = FindWord(fn, kType); pos != std::string::npos;
+       pos = FindWord(fn, kType, pos + 1)) {
+    size_t i = pos + kType.size();
+    while (i < fn.size() && (fn[i] == '>' || fn[i] == '*' || fn[i] == '&' || fn[i] == ' ')) {
+      ++i;
+    }
+    if (fn.compare(i, 6, "const ") == 0) {
+      i += 6;
+    }
+    size_t start = i;
+    while (i < fn.size() && IsIdentChar(fn[i])) {
+      ++i;
+    }
+    if (i > start) {
+      names.push_back(fn.substr(start, i - start));
+    }
+  }
+  for (const char* spawn : {"Spawn", "SpawnPath", "Fork"}) {
+    for (size_t op : MemberCalls(fn, spawn)) {
+      size_t stmt = fn.find_last_of(";{}", op);
+      stmt = stmt == std::string::npos ? 0 : stmt + 1;
+      size_t eq = fn.find('=', stmt);
+      if (eq == std::string::npos || eq > op || fn[eq + 1] == '=') {
+        continue;
+      }
+      size_t end = eq;
+      while (end > stmt && fn[end - 1] == ' ') {
+        --end;
+      }
+      size_t start = end;
+      while (start > stmt && IsIdentChar(fn[start - 1])) {
+        --start;
+      }
+      if (start < end) {
+        names.push_back(fn.substr(start, end - start));
+      }
+    }
+  }
+  return names;
+}
+
+// A function that Waits on a ProcHandle must also Destroy it: Destroy is
+// what revokes the child and gives back the spawner's ownership of its
+// pr/pw, and registry entries are never freed, so a label that grows per
+// spawn makes every later intern cost O(history). A function starts at the
+// first `{` outside any function that no scope keyword opens; its
+// signature, back to the previous `;`, `{` or `}`, counts as part of it.
+void CheckWaitWithoutReap(const std::string& path, const std::string& clean,
+                          std::vector<Finding>* out) {
+  std::string flat = clean;  // same offsets, one line
+  std::replace(flat.begin(), flat.end(), '\n', ' ');
+  std::replace(flat.begin(), flat.end(), '\t', ' ');
+
+  int depth = 0;
+  int fn_depth = -1;     // brace depth around the function being scanned, or -1
+  size_t fn_start = 0;   // its signature's start
+  size_t stmt = 0;       // just past the last `;`, `{` or `}`
+  for (size_t i = 0; i < flat.size(); ++i) {
+    char c = flat[i];
+    if (c == ';') {
+      stmt = i + 1;
+    } else if (c == '{') {
+      if (fn_depth < 0 && !OpensScope(flat.substr(stmt, i - stmt))) {
+        fn_start = stmt;
+        fn_depth = depth;
+      }
+      ++depth;
+      stmt = i + 1;
+    } else if (c == '}') {
+      --depth;
+      stmt = i + 1;
+      if (depth != fn_depth) {
+        continue;
+      }
+      fn_depth = -1;
+      const std::string fn = flat.substr(fn_start, i + 1 - fn_start);
+      const std::vector<std::string> handles = ProcHandleNames(fn);
+      std::vector<std::string> reaped;
+      for (size_t op : MemberCalls(fn, "Destroy")) {
+        reaped.push_back(ReceiverRoot(fn, op));
+      }
+      for (size_t op : MemberCalls(fn, "Wait")) {
+        std::string root = ReceiverRoot(fn, op);
+        if (root.empty() ||
+            std::find(handles.begin(), handles.end(), root) == handles.end() ||
+            std::find(reaped.begin(), reaped.end(), root) != reaped.end()) {
+          continue;
+        }
+        int line = 1 + static_cast<int>(std::count(clean.begin(),
+                                                   clean.begin() + fn_start + op, '\n'));
+        out->push_back({path, line, "wait-without-reap",
+                        "ProcHandle " + root + " is Waited on but never Destroyed here — "
+                        "the spawner keeps the child's pr/pw ownership, and its label "
+                        "grows with every spawn"});
+      }
+    }
+  }
+}
+
 }  // namespace
 
 std::string CleanSource(const std::string& content) {
@@ -453,8 +647,12 @@ std::vector<Finding> LintSource(const std::string& rel_path, const std::string& 
   const bool rule_shard = enabled[4];
   const bool rule_raw_sync = enabled[5];
   const bool rule_raw_clock = enabled[6];
+  const bool rule_wait_reap = enabled[7];
 
   std::string clean = CleanSource(content);
+  if (rule_wait_reap) {
+    CheckWaitWithoutReap(rel_path, clean, &findings);
+  }
   std::istringstream in(clean);
   std::string line;
   int lineno = 0;

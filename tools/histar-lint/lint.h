@@ -40,6 +40,13 @@
 //                            HISTAR_TRACE=0 build compiles every clock read
 //                            out. Type mentions (steady_clock::duration)
 //                            stay legal.
+//  * wait-without-reap       A function body that Waits on a ProcHandle
+//                            must also Destroy it: Destroy revokes the
+//                            child and gives back the spawner's ownership
+//                            of its pr/pw. Registry entries are never
+//                            freed, so a spawner that never reaps grows its
+//                            label, and every label interned from it, with
+//                            its whole history.
 //
 // The checker is deliberately token-level (no libclang in the build image):
 // comments and string literals are blanked before matching, and scoped
