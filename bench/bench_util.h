@@ -36,9 +36,11 @@ struct World {
 
 // Boots a world. If `with_store` is set, the kernel checkpoints to a
 // latency-modeled disk with the paper's drive geometry (ST340014A: 8.5 ms
-// seek, 7200 RPM, 58 MB/s); `store_data` keeps the bytes (needed only by
-// recovery tests — benches usually run latency-only). `tuning` selects the
-// store engine and its knobs; the default is the blob engine.
+// seek, 7200 RPM, 58 MB/s); `store_data` keeps the bytes (needed by
+// recovery; the image costs host memory only for the pages written, so
+// latency-only mode saves memory only for benches that write hundreds of
+// MB). `tuning` selects the store engine and its knobs; the default is the
+// blob engine.
 inline World BootWorld(bool with_store, uint64_t capacity_bytes = 2ULL << 30,
                        bool store_data = false,
                        const StoreTuning& tuning = StoreTuning{}) {

@@ -7,9 +7,18 @@
 
 namespace histar {
 
-// Data-mode backing grows lazily to the highest written offset, so a 40 GB
-// nominal capacity does not allocate 40 GB of host memory.
+// Data mode allocates a page only when a write first touches it, so a 40 GB
+// nominal capacity costs host memory only for the bytes the store wrote, and
+// the untouched gap below a high offset (the WAL region's tail) costs none.
 DiskModel::DiskModel(const DiskGeometry& geometry) : geo_(geometry) {}
+
+uint8_t* DiskModel::PageAt(uint64_t offset) {
+  std::unique_ptr<uint8_t[]>& page = pages_[offset / kPageBytes];
+  if (page == nullptr) {
+    page = std::make_unique<uint8_t[]>(kPageBytes);  // value-initialized: zeros
+  }
+  return page.get();
+}
 
 uint64_t DiskModel::AccessCost(uint64_t offset, uint64_t len, bool is_read) {
   if (geo_.zero_latency) {
@@ -108,10 +117,16 @@ Status DiskModel::Read(uint64_t offset, void* buf, uint64_t len) {
   if (len != 0) {  // len == 0 legitimately pairs with a null buf
     memset(buf, 0, len);
   }
-  if (geo_.store_data && offset < data_.size()) {
-    uint64_t n = std::min<uint64_t>(len, data_.size() - offset);
-    if (n != 0) {
-      memcpy(buf, data_.data() + offset, n);
+  if (geo_.store_data) {
+    // Copy the pages that exist; holes stay zero from the memset above.
+    for (uint64_t done = 0; done < len;) {
+      uint64_t pos = offset + done;
+      uint64_t n = std::min(len - done, kPageBytes - pos % kPageBytes);
+      auto it = pages_.find(pos / kPageBytes);
+      if (it != pages_.end()) {
+        memcpy(static_cast<uint8_t*>(buf) + done, it->second.get() + pos % kPageBytes, n);
+      }
+      done += n;
     }
   }
   if (fault.has_value() && fault->kind == FaultKind::kBitFlip && len != 0) {
@@ -180,16 +195,18 @@ Status DiskModel::Write(uint64_t offset, const void* buf, uint64_t len) {
   ++write_ops_;
   ++writes_since_flush_;
   bytes_written_ += persist_len;
-  if (geo_.store_data && persist_len > 0) {
-    if (offset + persist_len > data_.size()) {
-      data_.resize(offset + persist_len, 0);
+  if (geo_.store_data) {
+    for (uint64_t done = 0; done < persist_len;) {
+      uint64_t pos = offset + done;
+      uint64_t n = std::min(persist_len - done, kPageBytes - pos % kPageBytes);
+      memcpy(PageAt(pos) + pos % kPageBytes, static_cast<const uint8_t*>(buf) + done, n);
+      done += n;
     }
-    memcpy(data_.data() + offset, buf, persist_len);
     if (flip_bit.has_value() && flip_bit.value() / 8 < persist_len) {
       // Durable silent corruption: the media holds the flipped bit while
       // the op reports success.
-      data_[offset + flip_bit.value() / 8] ^=
-          static_cast<uint8_t>(1u << (flip_bit.value() % 8));
+      uint64_t pos = offset + flip_bit.value() / 8;
+      PageAt(pos)[pos % kPageBytes] ^= static_cast<uint8_t>(1u << (flip_bit.value() % 8));
     }
   }
   if (tearing) {

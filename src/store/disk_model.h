@@ -9,14 +9,18 @@
 // paper's "no IDE disk prefetch" row is this flag turned off).
 //
 // Two storage modes:
-//  * data mode: bytes are stored in memory (used by tests and recovery)
-//  * latency-only mode: bytes are discarded; only the clock advances (used
-//    by benchmarks that push hundreds of MB)
+//  * data mode: bytes are stored in memory, in fixed 4 KiB pages allocated
+//    on first write; host memory grows with the pages written, never with
+//    the highest offset (used by tests, recovery and the store benches)
+//  * latency-only mode: bytes are discarded; only the clock advances (saves
+//    memory only for benches that write hundreds of MB)
 #ifndef SRC_STORE_DISK_MODEL_H_
 #define SRC_STORE_DISK_MODEL_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/status.h"
@@ -139,6 +143,12 @@ class DiskModel {
     MutexLock lock(&mu_);
     return seek_ops_;
   }
+  // Host bytes backing the disk image: pages held times kPageBytes (0 in
+  // latency-only mode).
+  uint64_t resident_bytes() const {
+    MutexLock lock(&mu_);
+    return pages_.size() * kPageBytes;
+  }
 
   // Crash injection: after `n` more bytes have been written, fail every
   // subsequent operation with kCrashed; the write that crosses the boundary
@@ -177,10 +187,15 @@ class DiskModel {
   uint64_t AccessCost(uint64_t offset, uint64_t len, bool is_read) REQUIRES(mu_);
   // Pops the first armed rule matching this op (mu_ held); counts the fire.
   std::optional<FaultRule> MatchFault(bool is_read, uint64_t offset) REQUIRES(mu_);
+  // The page holding byte `offset`, allocated zeroed on first touch (mu_ held).
+  uint8_t* PageAt(uint64_t offset) REQUIRES(mu_);
+
+  static constexpr uint64_t kPageBytes = 4096;
 
   DiskGeometry geo_;
   mutable Mutex mu_;
-  std::vector<uint8_t> data_ GUARDED_BY(mu_);  // only in data mode
+  // Data-mode disk image, keyed by page index; absent pages read as zeros.
+  std::unordered_map<uint64_t, std::unique_ptr<uint8_t[]>> pages_ GUARDED_BY(mu_);
   uint64_t sim_time_ns_ GUARDED_BY(mu_) = 0;
   uint64_t head_pos_ GUARDED_BY(mu_) = 0;       // byte offset the head is "at"
   uint64_t prefetch_end_ GUARDED_BY(mu_) = 0;   // end of the lookahead window
