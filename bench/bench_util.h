@@ -39,8 +39,7 @@ struct World {
 // seek, 7200 RPM, 58 MB/s); `store_data` keeps the bytes (needed by
 // recovery; the image costs host memory only for the pages written, so
 // latency-only mode saves memory only for benches that write hundreds of
-// MB). `tuning` selects the store engine and its knobs; the default is the
-// blob engine.
+// MB). `tuning` carries the store's knobs (WAL size, Bε-tree shape).
 inline World BootWorld(bool with_store, uint64_t capacity_bytes = 2ULL << 30,
                        bool store_data = false,
                        const StoreTuning& tuning = StoreTuning{}) {

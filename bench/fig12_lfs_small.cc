@@ -281,9 +281,10 @@ struct LabelHeavyWorld {
   std::vector<ObjectId> files;
 };
 
-// `tuning` picks the store engine; `sync_every` checkpoints mid-population
-// (0 = never), giving the on-disk image the multi-epoch scatter of a real
-// run — the restore rows need that to expose the engines' read layouts.
+// `tuning` shapes the store's Bε-tree; `sync_every` checkpoints
+// mid-population (0 = never), giving the on-disk image the multi-epoch
+// history of a real run — the restore row needs that to expose the read
+// layout.
 LabelHeavyWorld MakeLabelHeavyWorld(int n, bool store_data = false,
                                     const StoreTuning& tuning = StoreTuning{},
                                     int sync_every = 0) {
@@ -429,32 +430,23 @@ BENCHMARK(BM_HiStarRestoreLabelHeavy)
     ->Unit(::benchmark::kMillisecond)
     ->Iterations(1);
 
-// ---- engine rows (PR 8: blob vs Bε-tree under the same store) ---------------
+// ---- engine rows (the Bε-tree store engine) ----------------------------------
 //
-// Two machine-checked comparisons between the original blob engine and the
-// message-batched Bε-tree engine, emitted into BENCH_pr8.json by
-// scripts/bench_json.sh and asserted by scripts/check_bench_pr8.sh:
-//   * dirty-1000 checkpoint: the blob engine writes one blob per dirty
-//     object (~n+3 device writes); the betree engine folds the whole batch
-//     into one message section (~3 writes), with total bytes within 2x of
-//     the serialized payload;
-//   * restore: the blob image scatters 1,000 blobs across populate epochs
-//     so recovery seeks per object, while the betree image is a handful of
-//     sequential node/section runs — seek count drops >= 10x.
-
-StoreTuning EngineTuning(int64_t engine, uint64_t root_buffer_bytes) {
-  StoreTuning t;
-  t.engine = engine != 0 ? EngineKind::kBetree : EngineKind::kBlob;
-  t.betree.root_buffer_bytes = root_buffer_bytes;
-  return t;
-}
+// Two machine-checked rows, emitted into BENCH_pr8.json by
+// scripts/bench_json.sh and bounded by scripts/check_bench_pr8.sh:
+//   * dirty-1000 checkpoint: the engine folds the whole batch into one
+//     message section (section, its checksum word, superblock: 3 device
+//     writes), with total bytes within 2x of the serialized payload;
+//   * restore: the image is a handful of sequential node/section runs, so
+//     recovery seeks a couple of dozen times, not once per object.
 
 void BM_EngineCheckpointDirty(::benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     // An 8 MB root buffer keeps the dirty-1000 batch inside one message
-    // section: the write-op comparison is engine policy, not buffer sizing.
-    StoreTuning t = EngineTuning(state.range(1), /*root_buffer_bytes=*/8ULL << 20);
+    // section: the write-op count is engine policy, not buffer sizing.
+    StoreTuning t;
+    t.betree.root_buffer_bytes = 8ULL << 20;
     LabelHeavyWorld s = MakeLabelHeavyWorld(n, /*store_data=*/false, t);
     if (s.w.kernel->sys_sync(s.w.init()) != Status::kOk) {  // the base epoch
       state.SkipWithError("base sync failed");
@@ -493,8 +485,8 @@ void BM_EngineCheckpointDirty(::benchmark::State& state) {
   state.counters["files"] = ::benchmark::Counter(static_cast<double>(n));
 }
 BENCHMARK(BM_EngineCheckpointDirty)
-    ->ArgsProduct({{1000}, {0, 1}})
-    ->ArgNames({"files", "engine"})
+    ->Arg(1000)
+    ->ArgName("files")
     ->UseManualTime()
     ->Unit(::benchmark::kMillisecond)
     ->Iterations(1);
@@ -503,9 +495,10 @@ void BM_EngineRestore(::benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     // A 256 KB root buffer forces real tree-node flushes during the
-    // multi-epoch populate, so the betree image is nodes + a short message
-    // chain rather than one giant root buffer.
-    StoreTuning t = EngineTuning(state.range(1), /*root_buffer_bytes=*/256 << 10);
+    // multi-epoch populate, so the image is nodes + a short message chain
+    // rather than one giant root buffer.
+    StoreTuning t;
+    t.betree.root_buffer_bytes = 256 << 10;
     LabelHeavyWorld s =
         MakeLabelHeavyWorld(n, /*store_data=*/true, t, /*sync_every=*/100);
     if (s.w.kernel->sys_sync(s.w.init()) != Status::kOk) {
@@ -533,8 +526,8 @@ void BM_EngineRestore(::benchmark::State& state) {
   state.counters["files"] = ::benchmark::Counter(static_cast<double>(n));
 }
 BENCHMARK(BM_EngineRestore)
-    ->ArgsProduct({{1000}, {0, 1}})
-    ->ArgNames({"files", "engine"})
+    ->Arg(1000)
+    ->ArgName("files")
     ->UseManualTime()
     ->Unit(::benchmark::kMillisecond)
     ->Iterations(1);

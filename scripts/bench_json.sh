@@ -5,7 +5,7 @@
 # git sha, and a machine-readable caveat when the host has fewer than 8
 # CPUs):
 #   * BENCH_pr6.json — the PR 6 scaling rows (labels, objtable, IPC rings);
-#   * BENCH_pr8.json — the PR 8 engine rows (blob vs Bε-tree dirty-1000
+#   * BENCH_pr8.json — the PR 8 engine rows (Bε-tree dirty-1000
 #     checkpoint and restore), checked by scripts/check_bench_pr8.sh;
 #   * BENCH_pr10.json — the PR 10 tracing-overhead rows: the warm lock-free
 #     batch and the dirty-1000 checkpoint, once from the normal build and

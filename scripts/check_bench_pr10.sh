@@ -5,7 +5,7 @@
 #   1. warm lock-free batch: traced ns/op <= 1.05x notrace + a small
 #      absolute grace (the rows are ~microseconds, so a pure percentage
 #      gate would flap on scheduler noise; BENCH_PR10_GRACE_NS overrides);
-#   2. dirty-1000 checkpoint (betree): same 5% + grace bound on the
+#   2. dirty-1000 checkpoint (Bε-tree): same 5% + grace bound on the
 #      disk-model time;
 #   3. determinism: tracing must not change what the store writes — the
 #      checkpoint's device write-op count is identical in both trees.
@@ -43,7 +43,7 @@ field() {
 }
 
 LF='BM_HiStarLockFreeBatchGet'
-CK='BM_EngineCheckpointDirty/files:1000/engine:1/iterations:1/manual_time'
+CK='BM_EngineCheckpointDirty/files:1000/iterations:1/manual_time'
 
 LF_ON="$(field "$LF" ns_per_op)"
 LF_OFF="$(field "$LF@notrace" ns_per_op)"

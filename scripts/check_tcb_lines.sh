@@ -1,0 +1,33 @@
+#!/usr/bin/env bash
+# Gates the size of the trusted computing base (src/core + src/kernel +
+# src/store, as counted by bench_codesize): fails when the TCB line total
+# exceeds the ceiling below. The ceiling is the measured total of the last
+# change that shrank the TCB; a change that grows it must raise the ceiling
+# here, in the same diff, with its measured reason.
+#
+# Usage: scripts/check_tcb_lines.sh [build-dir]
+set -euo pipefail
+
+ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+BUILD="${1:-$ROOT/build}"
+CEILING=13715
+
+if [ ! -x "$BUILD/bench_codesize" ]; then
+  echo "check_tcb_lines.sh: $BUILD/bench_codesize missing — build it first" >&2
+  exit 1
+fi
+
+OUT="$("$BUILD/bench_codesize")"
+TCB="$(printf '%s\n' "$OUT" | sed -n 's/^trusted computing base : *\([0-9][0-9]*\) lines.*/\1/p')"
+SEMI="$(printf '%s\n' "$OUT" | sed -n 's/^TCB with a semicolon *: *\([0-9][0-9]*\) lines.*/\1/p')"
+if [ -z "$TCB" ]; then
+  echo "check_tcb_lines.sh: no TCB total in bench_codesize output:" >&2
+  printf '%s\n' "$OUT" >&2
+  exit 1
+fi
+
+if [ "$TCB" -gt "$CEILING" ]; then
+  echo "FAIL: TCB is $TCB lines, ceiling $CEILING (scripts/check_tcb_lines.sh)"
+  exit 1
+fi
+echo "TCB lines: $TCB <= ceiling $CEILING (${SEMI:-?} with a semicolon)"

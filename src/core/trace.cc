@@ -250,12 +250,12 @@ void RecordEvent(EventKind kind, uint64_t a, uint64_t b, uint64_t c, int8_t code
 }
 
 void RecordStoreOp(StoreOp op, int8_t status_code, uint64_t dur_ns, uint64_t bytes,
-                   uint64_t write_ops, uint8_t engine_kind) {
+                   uint64_t write_ops) {
   SlotRing& ring = Recorder::Global().ForCurrentThread();
   const Taint& t = Scratch();
   uint32_t dur = dur_ns > 0xfffffffeull ? 0xfffffffeu
                                         : static_cast<uint32_t>(dur_ns);
-  Append(ring, NowNs(), bytes, write_ops, engine_kind, PackW4(dur, t.tlabel),
+  Append(ring, NowNs(), bytes, write_ops, 0, PackW4(dur, t.tlabel),
          PackW5(t.olabel, static_cast<uint16_t>(op), status_code,
                 static_cast<uint8_t>(EventKind::kStoreCommit)));
   std::atomic<uint64_t>& cell =

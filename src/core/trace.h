@@ -88,7 +88,7 @@ enum class EventKind : uint8_t {
   kRingChain = 3,     // a=op count, b=proxy-execution?1:0, c=submitter id
   kEpochAdvance = 4,  // a=items freed, b=global epoch after
   kEpochRetire = 5,   // a=approx limbo size after the retire
-  kStoreCommit = 6,   // a=bytes written, b=device write ops, c=engine kind;
+  kStoreCommit = 6,   // a=bytes written, b=device write ops, c=0 (reserved);
                       // aux=StoreOp, code=Status
   kFault = 7,         // a=fault class, b=fault detail; code=Status
   kFatal = 8,         // a=detail; code=the fatal Status
@@ -279,7 +279,7 @@ void RecordEvent(EventKind kind, uint64_t a, uint64_t b, uint64_t c,
 
 // Store commit/restore: one kStoreCommit event plus the per-op histogram.
 void RecordStoreOp(StoreOp op, int8_t status_code, uint64_t dur_ns, uint64_t bytes,
-                   uint64_t write_ops, uint8_t engine_kind);
+                   uint64_t write_ops);
 
 // Fatal path: records a kFatal event and, when a dump path is configured
 // (SetFatalDumpPath or the HISTAR_TRACE_DUMP environment variable), writes
@@ -297,7 +297,7 @@ inline uint64_t BeginSyscallGroup() { return 0; }
 inline void FinishSyscallGroup(uint64_t, uint64_t, uint64_t) {}
 inline void RecordEvent(EventKind, uint64_t, uint64_t, uint64_t, int8_t = 0,
                         uint16_t = 0, uint32_t = 0, uint64_t = 0) {}
-inline void RecordStoreOp(StoreOp, int8_t, uint64_t, uint64_t, uint64_t, uint8_t) {}
+inline void RecordStoreOp(StoreOp, int8_t, uint64_t, uint64_t, uint64_t) {}
 inline void RecordFatal(int8_t, uint64_t) {}
 
 #endif  // HISTAR_TRACE

@@ -15,16 +15,14 @@
 //
 // Buffer fields (`buf`, `data`) are caller-owned raw pointers, exactly like
 // an io_uring SQE referencing user memory: they must stay valid until the
-// matching completion is filled. Encode/decode (below) round-trips them as
-// 64-bit words — descriptors describe in-process memory, not a network
-// protocol.
+// matching completion is filled — descriptors describe in-process memory,
+// not a wire protocol.
 #ifndef SRC_KERNEL_SYSCALL_ABI_H_
 #define SRC_KERNEL_SYSCALL_ABI_H_
 
 #include <array>
 #include <cstdint>
 #include <string>
-#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -546,7 +544,8 @@ struct TraceReadRes {
 //
 // Alternative order is the ABI: SyscallRes alternative i+1 completes
 // SyscallReq alternative i (SyscallRes index 0 is monostate, "unfilled").
-// Appending new syscalls at the end keeps encoded descriptors stable.
+// Appending new syscalls at the end keeps existing indices (trace events
+// and SyscallKindName record them) stable.
 using SyscallReq = std::variant<
     CatCreateReq, SelfSetLabelReq, SelfSetClearanceReq, SelfGetLabelReq, SelfGetClearanceReq,
     SelfSetAsReq, SelfGetAsReq, SelfHaltReq, ThreadCreateReq, ThreadAlertReq, SelfNextAlertReq,
@@ -616,162 +615,6 @@ void MakeRes(const SyscallReq& req, Status st, SyscallRes* out);
 // consumer with kInvalidArg).
 bool ResSlotRead(const SyscallRes& res, RingSlot slot, uint64_t* v);
 bool ReqSlotWrite(SyscallReq* req, RingSlot slot, uint64_t v);
-
-// ---- Field enumeration ------------------------------------------------------
-//
-// One AbiFields overload per descriptor returns a tuple of references to the
-// fields in wire order; the encode/decode archives in syscall_abi.cc fold
-// over it. Adding a field to a descriptor without touching its AbiFields
-// line fails the round-trip property test (tests/kernel/syscall_abi_test.cc).
-inline auto AbiFields(CatCreateReq&) { return std::tie(); }
-inline auto AbiFields(SelfSetLabelReq& r) { return std::tie(r.label); }
-inline auto AbiFields(SelfSetClearanceReq& r) { return std::tie(r.clearance); }
-inline auto AbiFields(SelfGetLabelReq&) { return std::tie(); }
-inline auto AbiFields(SelfGetClearanceReq&) { return std::tie(); }
-inline auto AbiFields(SelfSetAsReq& r) { return std::tie(r.as); }
-inline auto AbiFields(SelfGetAsReq&) { return std::tie(); }
-inline auto AbiFields(SelfHaltReq&) { return std::tie(); }
-inline auto AbiFields(ThreadCreateReq& r) { return std::tie(r.spec, r.label, r.clearance); }
-inline auto AbiFields(ThreadAlertReq& r) { return std::tie(r.thread, r.code); }
-inline auto AbiFields(SelfNextAlertReq&) { return std::tie(); }
-inline auto AbiFields(SelfLocalReadReq& r) { return std::tie(r.buf, r.off, r.len); }
-inline auto AbiFields(SelfLocalWriteReq& r) { return std::tie(r.buf, r.off, r.len); }
-inline auto AbiFields(ContainerCreateReq& r) { return std::tie(r.spec, r.avoid_types); }
-inline auto AbiFields(ContainerUnrefReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(ContainerGetParentReq& r) { return std::tie(r.container); }
-inline auto AbiFields(ContainerListReq& r) { return std::tie(r.container); }
-inline auto AbiFields(ContainerLinkReq& r) { return std::tie(r.container, r.src); }
-inline auto AbiFields(ContainerHasReq& r) { return std::tie(r.container, r.obj); }
-inline auto AbiFields(ObjGetTypeReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(ObjGetLabelReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(ObjGetDescripReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(ObjGetQuotaReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(ObjGetMetadataReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(ObjSetMetadataReq& r) { return std::tie(r.ce, r.data, r.len); }
-inline auto AbiFields(ObjSetFixedQuotaReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(ObjSetImmutableReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(QuotaMoveReq& r) { return std::tie(r.d, r.o, r.n); }
-inline auto AbiFields(SegmentCreateReq& r) { return std::tie(r.spec, r.len); }
-inline auto AbiFields(SegmentCopyReq& r) { return std::tie(r.spec, r.src); }
-inline auto AbiFields(SegmentResizeReq& r) { return std::tie(r.ce, r.len); }
-inline auto AbiFields(SegmentGetLenReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(SegmentReadReq& r) { return std::tie(r.ce, r.buf, r.off, r.len); }
-inline auto AbiFields(SegmentWriteReq& r) { return std::tie(r.ce, r.buf, r.off, r.len); }
-inline auto AbiFields(AsCreateReq& r) { return std::tie(r.spec); }
-inline auto AbiFields(AsSetReq& r) { return std::tie(r.ce, r.mappings); }
-inline auto AbiFields(AsGetReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(AsAccessReq& r) { return std::tie(r.va, r.buf, r.len, r.write); }
-inline auto AbiFields(GateCreateReq& r) {
-  return std::tie(r.spec, r.gate_label, r.gate_clearance, r.entry_name, r.closure);
-}
-inline auto AbiFields(GateInvokeReq& r) {
-  return std::tie(r.gate, r.request_label, r.request_clearance, r.verify_label);
-}
-inline auto AbiFields(GateGetClosureReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(FutexWaitReq& r) {
-  return std::tie(r.seg, r.offset, r.expected, r.timeout_ms);
-}
-inline auto AbiFields(FutexWakeReq& r) { return std::tie(r.seg, r.offset, r.max_count); }
-inline auto AbiFields(NetMacAddrReq& r) { return std::tie(r.dev); }
-inline auto AbiFields(NetTransmitReq& r) { return std::tie(r.dev, r.seg, r.off, r.len); }
-inline auto AbiFields(NetReceiveReq& r) { return std::tie(r.dev, r.seg, r.off, r.maxlen); }
-inline auto AbiFields(NetWaitReq& r) { return std::tie(r.dev, r.timeout_ms); }
-inline auto AbiFields(ConsoleWriteReq& r) { return std::tie(r.dev, r.text); }
-inline auto AbiFields(SyncReq&) { return std::tie(); }
-inline auto AbiFields(SyncObjectReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(SyncPagesReq& r) { return std::tie(r.ce, r.offset, r.len); }
-inline auto AbiFields(RingCreateReq& r) { return std::tie(r.spec, r.capacity); }
-inline auto AbiFields(RingSubmitReq& r) { return std::tie(r.ring, r.ops); }
-inline auto AbiFields(RingWaitReq& r) { return std::tie(r.ring, r.ticket, r.timeout_ms); }
-inline auto AbiFields(RingReapReq& r) { return std::tie(r.ring, r.max); }
-inline auto AbiFields(TraceReadReq& r) { return std::tie(r.max_events); }
-
-inline auto AbiFields(CatCreateRes& r) { return std::tie(r.status, r.cat); }
-inline auto AbiFields(SelfSetLabelRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SelfSetClearanceRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SelfGetLabelRes& r) { return std::tie(r.status, r.label); }
-inline auto AbiFields(SelfGetClearanceRes& r) { return std::tie(r.status, r.clearance); }
-inline auto AbiFields(SelfSetAsRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SelfGetAsRes& r) { return std::tie(r.status, r.as); }
-inline auto AbiFields(SelfHaltRes& r) { return std::tie(r.status); }
-inline auto AbiFields(ThreadCreateRes& r) { return std::tie(r.status, r.id); }
-inline auto AbiFields(ThreadAlertRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SelfNextAlertRes& r) { return std::tie(r.status, r.code); }
-inline auto AbiFields(SelfLocalReadRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SelfLocalWriteRes& r) { return std::tie(r.status); }
-inline auto AbiFields(ContainerCreateRes& r) { return std::tie(r.status, r.id); }
-inline auto AbiFields(ContainerUnrefRes& r) { return std::tie(r.status); }
-inline auto AbiFields(ContainerGetParentRes& r) { return std::tie(r.status, r.parent); }
-inline auto AbiFields(ContainerListRes& r) { return std::tie(r.status, r.links); }
-inline auto AbiFields(ContainerLinkRes& r) { return std::tie(r.status); }
-inline auto AbiFields(ContainerHasRes& r) { return std::tie(r.status, r.has); }
-inline auto AbiFields(ObjGetTypeRes& r) { return std::tie(r.status, r.type); }
-inline auto AbiFields(ObjGetLabelRes& r) { return std::tie(r.status, r.label); }
-inline auto AbiFields(ObjGetDescripRes& r) { return std::tie(r.status, r.descrip); }
-inline auto AbiFields(ObjGetQuotaRes& r) { return std::tie(r.status, r.quota); }
-inline auto AbiFields(ObjGetMetadataRes& r) { return std::tie(r.status, r.metadata); }
-inline auto AbiFields(ObjSetMetadataRes& r) { return std::tie(r.status); }
-inline auto AbiFields(ObjSetFixedQuotaRes& r) { return std::tie(r.status); }
-inline auto AbiFields(ObjSetImmutableRes& r) { return std::tie(r.status); }
-inline auto AbiFields(QuotaMoveRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SegmentCreateRes& r) { return std::tie(r.status, r.id); }
-inline auto AbiFields(SegmentCopyRes& r) { return std::tie(r.status, r.id); }
-inline auto AbiFields(SegmentResizeRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SegmentGetLenRes& r) { return std::tie(r.status, r.len); }
-inline auto AbiFields(SegmentReadRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SegmentWriteRes& r) { return std::tie(r.status); }
-inline auto AbiFields(AsCreateRes& r) { return std::tie(r.status, r.id); }
-inline auto AbiFields(AsSetRes& r) { return std::tie(r.status); }
-inline auto AbiFields(AsGetRes& r) { return std::tie(r.status, r.mappings); }
-inline auto AbiFields(AsAccessRes& r) { return std::tie(r.status); }
-inline auto AbiFields(GateCreateRes& r) { return std::tie(r.status, r.id); }
-inline auto AbiFields(GateInvokeRes& r) { return std::tie(r.status); }
-inline auto AbiFields(GateGetClosureRes& r) { return std::tie(r.status, r.closure); }
-inline auto AbiFields(FutexWaitRes& r) { return std::tie(r.status); }
-inline auto AbiFields(FutexWakeRes& r) { return std::tie(r.status, r.woken); }
-inline auto AbiFields(NetMacAddrRes& r) { return std::tie(r.status, r.mac); }
-inline auto AbiFields(NetTransmitRes& r) { return std::tie(r.status); }
-inline auto AbiFields(NetReceiveRes& r) { return std::tie(r.status, r.len); }
-inline auto AbiFields(NetWaitRes& r) { return std::tie(r.status); }
-inline auto AbiFields(ConsoleWriteRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SyncRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SyncObjectRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SyncPagesRes& r) { return std::tie(r.status); }
-inline auto AbiFields(RingCreateRes& r) { return std::tie(r.status, r.id); }
-inline auto AbiFields(RingSubmitRes& r) { return std::tie(r.status, r.ticket); }
-inline auto AbiFields(RingWaitRes& r) { return std::tie(r.status); }
-inline auto AbiFields(RingReapRes& r) { return std::tie(r.status, r.completions); }
-inline auto AbiFields(TraceEventWire& e) {
-  return std::tie(e.ts_ns, e.a, e.b, e.c, e.seq, e.slot, e.dur_ns, e.tlabel,
-                  e.olabel, e.kind, e.code, e.aux, e.gen);
-}
-inline auto AbiFields(TraceReadRes& r) {
-  return std::tie(r.status, r.total, r.withheld, r.events);
-}
-
-inline auto AbiFields(CreateSpec& s) { return std::tie(s.container, s.label, s.descrip, s.quota); }
-// Nested descriptors: the archives encode an embedded SyscallReq/SyscallRes
-// as [u32 variant-index][fields] — the completion's index is stored raw
-// (0 = monostate, unlike the top-level EncodeRes tag, so an unfilled
-// completion inside a RingCompletion round-trips).
-inline auto AbiFields(RingOp& o) { return std::tie(o.flags, o.from, o.to, o.req); }
-inline auto AbiFields(RingCompletion& c) { return std::tie(c.seq, c.res); }
-inline auto AbiFields(ContainerEntry& e) { return std::tie(e.container, e.object); }
-inline auto AbiFields(Mapping& m) {
-  return std::tie(m.va, m.segment, m.start_page, m.npages, m.flags);
-}
-
-// ---- Wire form --------------------------------------------------------------
-//
-// Descriptor layout (little-endian): [u32 alternative-index][fields in
-// AbiFields order]. Integers are fixed-width LE; bools one byte; pointers
-// 64-bit words; strings and byte/word vectors are u32-length-prefixed;
-// labels use Label::Serialize; composite fields (CreateSpec, ContainerEntry,
-// Mapping) recurse. Documented in docs/syscalls.md ("Batched submission").
-void EncodeReq(const SyscallReq& req, std::vector<uint8_t>* out);
-bool DecodeReq(const uint8_t* data, size_t len, size_t* consumed, SyscallReq* out);
-void EncodeRes(const SyscallRes& res, std::vector<uint8_t>* out);
-bool DecodeRes(const uint8_t* data, size_t len, size_t* consumed, SyscallRes* out);
 
 }  // namespace histar
 

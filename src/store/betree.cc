@@ -40,8 +40,8 @@ uint64_t BufferWireBytes(const MsgBuffer& b) {
 //              u64 csum                  (FNV over everything prior)
 //              n × { u8 bytes[len], u64 blob_csum }   (FNV over
 //                    bytes[0, min(meta_len, len)) — payload past the
-//                    metadata prefix is writeback territory, exactly like
-//                    blob-engine extents)
+//                    metadata prefix is writeback territory, see
+//                    FlushPages)
 //   interior:  u64 magic, u8 level≥1, u32 n_children,
 //              n × { u64 min_key, u64 child_off, u64 child_len },
 //              u32 n_msgs, messages...   (msg.h wire format)
@@ -261,8 +261,9 @@ void CollectPresent(const Node* n, std::map<uint64_t, bool>* present) {
 
 }  // namespace
 
-BetreeEngine::BetreeEngine(const EngineContext& ctx, const BetreeParams& params)
-    : StoreEngine(ctx), params_(params) {}
+BetreeEngine::BetreeEngine(DiskModel* disk, ExtentAllocator* alloc,
+                           std::vector<Extent>* pending_frees, const BetreeParams& params)
+    : disk_(disk), alloc_(alloc), pending_frees_(pending_frees), params_(params) {}
 
 BetreeEngine::~BetreeEngine() = default;
 
@@ -471,8 +472,8 @@ Status BetreeEngine::WriteDirtyNodes(Node* root) {
   // recovery DFS reads it mostly forward).
   bool arena = false;
   uint64_t arena_off = 0;
-  if (total <= ctx_.alloc->largest_free()) {
-    Result<uint64_t> off = ctx_.alloc->Allocate(total);
+  if (total <= alloc_->largest_free()) {
+    Result<uint64_t> off = alloc_->Allocate(total);
     if (!off.ok()) {
       return off.status();
     }
@@ -486,7 +487,7 @@ Status BetreeEngine::WriteDirtyNodes(Node* root) {
     if (arena) {
       slot = cursor;
     } else {
-      Result<uint64_t> off = ctx_.alloc->Allocate(sizes[i]);
+      Result<uint64_t> off = alloc_->Allocate(sizes[i]);
       if (!off.ok()) {
         return off.status();  // written prefix stays clean; retry rewrites the rest
       }
@@ -495,21 +496,21 @@ Status BetreeEngine::WriteDirtyNodes(Node* root) {
     std::vector<uint8_t> img;
     img.reserve(sizes[i]);
     SerializeNode(*n, &img);  // children already rewritten: extents current
-    Status st = ctx_.disk->Write(slot, img.data(), img.size());
+    Status st = disk_->Write(slot, img.data(), img.size());
     if (st != Status::kOk) {
       // This node stays dirty and keeps its old extent; nothing durable
       // references the failed slot (or the unwritten arena tail) — free it.
       StoreAllocNoFail cleanup;
       if (arena) {
-        ctx_.alloc->Free(cursor, arena_off + total - cursor);
+        alloc_->Free(cursor, arena_off + total - cursor);
       } else {
-        ctx_.alloc->Free(slot, sizes[i]);
+        alloc_->Free(slot, sizes[i]);
       }
       return st;
     }
     StoreAllocNoFail book;
     if (n->extent.length != 0) {
-      ctx_.pending_frees->push_back(n->extent);
+      pending_frees_->push_back(n->extent);
     }
     n->extent = Extent{slot, img.size()};
     n->dirty = false;
@@ -705,16 +706,16 @@ Status BetreeEngine::FlushPages(ObjectId id, uint64_t offset,
     return Status::kOk;
   }
   // Leaf-resident with a clean image: write in place past the blob's
-  // checksummed prefix (same writeback semantics as the blob engine) and
-  // keep the cache byte-identical to disk.
+  // checksummed prefix (ext3-writeback semantics for the payload) and keep
+  // the cache byte-identical to disk.
   memcpy(e.bytes.data() + meta + offset, pages.data(), n);
   uint64_t disk_off =
       lk.leaf->extent.offset + LeafBlobOffset(*lk.leaf, lk.entry) + meta + offset;
-  Status st = ctx_.disk->Write(disk_off, pages.data(), n);
+  Status st = disk_->Write(disk_off, pages.data(), n);
   if (st != Status::kOk) {
     return st;
   }
-  return ctx_.disk->Flush();
+  return disk_->Flush();
 }
 
 Result<uint64_t> BetreeEngine::TouchObject(ObjectId id) {
@@ -741,7 +742,7 @@ Result<uint64_t> BetreeEngine::TouchObject(ObjectId id) {
       uint64_t pos = 0;
       while (pos < e.length) {
         uint64_t n = std::min<uint64_t>(buf.size(), e.length - pos);
-        Status st = ctx_.disk->Read(e.offset + pos, buf.data(), n);
+        Status st = disk_->Read(e.offset + pos, buf.data(), n);
         if (st != Status::kOk) {
           return st;
         }
@@ -774,7 +775,7 @@ Result<std::unique_ptr<Node>> BetreeEngine::ReadNode(const Extent& e, int depth)
     return Status::kCorrupt;
   }
   std::vector<uint8_t> img(e.length);
-  Status st = ctx_.disk->Read(e.offset, img.data(), img.size());
+  Status st = disk_->Read(e.offset, img.data(), img.size());
   if (st != Status::kOk) {
     return st;
   }

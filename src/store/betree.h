@@ -31,51 +31,124 @@
 //    the consumed messages).
 //  * Node images checksum their structure; leaf blobs checksum [0, meta_len)
 //    each, so FlushPages' in-place payload writes never invalidate a node
-//    (the same ext3-writeback trade-off as the blob engine).
+//    (an ext3-writeback trade-off for segment payload).
+//
+// Division of labour with SingleLevelStore, which holds one BetreeEngine:
+// the store owns everything the paper's commit protocol owns — superblock
+// slots, the WAL, the accumulated label table, the checkpoint section chain,
+// commit orchestration (allocate → write → flush → superblock flip → release
+// superseded extents) and recovery orchestration. The engine owns where
+// object images live on the heap and what a checkpoint section's body says
+// about them.
+//
+// Failure discipline matches the store's (docs/persistence.md "Fault
+// model"): the caller's entry StoreAlloc::Check() is the only injection
+// point; once an engine mutation has started, nested checks are suppressed
+// with StoreAllocNoFail. The engine shadow-writes: a failed device write
+// frees the fresh extent and leaves prior state intact, and superseded
+// extents go to the store's pending-frees list, released only after the
+// flip.
 #ifndef SRC_STORE_BETREE_H_
 #define SRC_STORE_BETREE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
 
-#include "src/store/engine.h"
+#include "src/kernel/kernel.h"
+#include "src/store/bptree.h"
+#include "src/store/disk_model.h"
+#include "src/store/extent_alloc.h"
 #include "src/store/msg.h"
+#include "src/store/wire_format.h"
 
 namespace histar {
 
-class BetreeEngine : public StoreEngine {
+// Bε-tree shape knobs (StoreTuning::betree).
+struct BetreeParams {
+  uint64_t node_bytes = 64 << 10;         // leaf split target
+  uint64_t buffer_bytes = 64 << 10;       // interior-node buffer cap
+  uint64_t root_buffer_bytes = 4 << 20;   // staged bytes before a base flush
+  uint32_t fanout = 16;                   // max children per interior node
+};
+
+class BetreeEngine {
  public:
-  BetreeEngine(const EngineContext& ctx, const BetreeParams& params);
-  ~BetreeEngine() override;
+  // Receives label records found inside an increment body (kLabelDelta
+  // messages); feeds the store's label table.
+  using LabelSink = std::function<void(uint32_t, std::vector<uint8_t>)>;
+  // Receives one complete object image (checksum stripped) during boot.
+  using ObjectSink = std::function<Status(const std::vector<uint8_t>&)>;
 
-  EngineKind kind() const override { return EngineKind::kBetree; }
-  const char* name() const override { return "betree"; }
-  void Reset() override;
+  // The store lends the engine its disk, its extent allocator and its list
+  // of extents superseded mid-commit (freed after the flip). All three
+  // outlive the engine and are only touched under the store's lock.
+  BetreeEngine(DiskModel* disk, ExtentAllocator* alloc,
+               std::vector<Extent>* pending_frees, const BetreeParams& params);
+  ~BetreeEngine();
 
-  Status WriteObject(ObjectId id, const std::vector<uint8_t>& bytes,
-                     uint64_t meta_len) override;
-  void DeleteObject(ObjectId id) override;
-  void AppendLiveIds(std::vector<ObjectId>* out) const override;
+  // Back to freshly-formatted state (no objects, nothing staged).
+  void Reset();
 
-  bool WantsBase() const override;
-  bool OwnsLabelDelta() const override { return true; }
+  // ---- Write path -----------------------------------------------------------
+
+  // Stages one object image as an upsert (checksum discipline: FNV over
+  // [0, meta_len) only — see docs/persistence.md).
+  Status WriteObject(ObjectId id, const std::vector<uint8_t>& bytes, uint64_t meta_len);
+  // Stages a tombstone.
+  void DeleteObject(ObjectId id);
+  // Appends every object id the engine currently holds (the store's dead
+  // sweep diffs this against the kernel's live set).
+  void AppendLiveIds(std::vector<ObjectId>* out) const;
+
+  // ---- Commit ---------------------------------------------------------------
+
+  // True when the next commit must be a base: the staged messages outgrew
+  // the root buffer, or a prior base flush failed midway and must be
+  // retried before any increment may commit.
+  bool WantsBase() const;
+  // Appends the section body to `image` (the store has already written the
+  // header and the label records). An increment body is the staged batch,
+  // `label_delta` riding as messages; a base body flushes the tree (device
+  // writes of its own, shadow-write discipline) and names the root extent.
   Status EmitSectionBody(bool base, const std::vector<LabelTableRecord>* label_delta,
-                         std::vector<uint8_t>* image) override;
-  void OnSectionWritten(bool base) override;
+                         std::vector<uint8_t>* image);
+  // The section is durably written and joins the in-memory chain (the flip
+  // may still fail — state consumed here legitimately rides into the next
+  // commit, exactly like the store's pending lists always have).
+  void OnSectionWritten(bool base);
 
+  // ---- Read path ------------------------------------------------------------
+
+  // In-place payload flush for sys_sync_pages. Sets *needs_commit when the
+  // freshest image is staged (not at a home location), in which case the
+  // store runs a commit; otherwise the engine wrote in place and barriered.
   Status FlushPages(ObjectId id, uint64_t offset, const std::vector<uint8_t>& pages,
-                    bool* needs_commit) override;
-  Result<uint64_t> TouchObject(ObjectId id) override;
+                    bool* needs_commit);
+  // Demand-page simulation: charge the reads that faulting the object in
+  // would cost; returns the on-disk image length.
+  Result<uint64_t> TouchObject(ObjectId id);
 
-  Status LoadSectionBody(bool base, storewire::Reader* r,
-                         const LabelSink& label_sink) override;
-  void CollectExtents(std::vector<Extent>* out) const override;
-  Status LoadAllObjects(const ObjectSink& fn) override;
+  // ---- Recovery -------------------------------------------------------------
 
+  // Replays one section body (reader positioned past the store-level label
+  // records; the section checksum has already been verified).
+  Status LoadSectionBody(bool base, storewire::Reader* r, const LabelSink& label_sink);
+  // Every heap extent the tree references — reserved in the allocator
+  // alongside the section chain.
+  void CollectExtents(std::vector<Extent>* out) const;
+  // Streams every live object image, ascending id, into `fn`.
+  Status LoadAllObjects(const ObjectSink& fn);
+
+  // ---- Chain folding --------------------------------------------------------
+
+  // Merges several increment section bodies (oldest first) into one body
+  // whose replay is equivalent to replaying them in order. Used when the
+  // superblock chain hits capacity (single_level_store.cc FoldChain).
   Status MergeSectionBodies(const std::vector<std::vector<uint8_t>>& bodies,
-                            std::vector<uint8_t>* out) override;
+                            std::vector<uint8_t>* out);
 
   // ---- Introspection for tests/benches -------------------------------------
 
@@ -117,6 +190,9 @@ class BetreeEngine : public StoreEngine {
   };
   Lookup Find(uint64_t id);
 
+  DiskModel* disk_;
+  ExtentAllocator* alloc_;
+  std::vector<Extent>* pending_frees_;
   BetreeParams params_;
   std::unique_ptr<Node> root_;   // nullptr until the first base flush
   MsgBuffer committed_;          // batches already in committed sections

@@ -1,9 +1,10 @@
 // B+-tree with fixed-size keys and values (paper §4).
 //
-// The single-level store keeps three of these, exactly as the paper
-// describes: object ID → disk extent, free extents indexed by size (for
-// allocation), and free extents indexed by location (for coalescing). The
-// paper notes that fixed-size keys and values "significantly simplified"
+// The paper's store keeps three of these: object ID → disk extent, free
+// extents indexed by size (for allocation), and free extents indexed by
+// location (for coalescing). Here objects live in a Bε-tree (betree.h), so
+// only the two free-extent indexes remain (ExtentAllocator). The paper
+// notes that fixed-size keys and values "significantly simplified"
 // the implementation; we keep that property — Key and Value are PODs with a
 // total order on Key.
 //

@@ -23,11 +23,10 @@ namespace {
 // the deltas are exact; the disk's own counters lock its leaf mutex.
 class StoreOpTrace {
  public:
-  StoreOpTrace(trace::StoreOp op, DiskModel* disk, uint8_t engine_kind)
+  StoreOpTrace(trace::StoreOp op, DiskModel* disk)
 #if HISTAR_TRACE
       : op_(op),
         disk_(disk),
-        engine_kind_(engine_kind),
         t0_(trace::NowNs()),
         w0_(disk->write_ops()),
         b0_(disk->bytes_written())
@@ -36,7 +35,6 @@ class StoreOpTrace {
 #if !HISTAR_TRACE
     (void)op;
     (void)disk;
-    (void)engine_kind;
 #endif
   }
 
@@ -44,7 +42,7 @@ class StoreOpTrace {
 #if HISTAR_TRACE
     trace::RecordStoreOp(op_, static_cast<int8_t>(st), trace::NowNs() - t0_,
                          disk_->bytes_written() - b0_,
-                         disk_->write_ops() - w0_, engine_kind_);
+                         disk_->write_ops() - w0_);
 #else
     (void)st;
 #endif
@@ -54,7 +52,6 @@ class StoreOpTrace {
 #if HISTAR_TRACE
   trace::StoreOp op_;
   DiskModel* disk_;
-  uint8_t engine_kind_;
   uint64_t t0_;
   uint64_t w0_;
   uint64_t b0_;
@@ -67,15 +64,11 @@ SingleLevelStore::SingleLevelStore(DiskModel* disk, const StoreTuning& tuning)
     : disk_(disk),
       tuning_(tuning),
       alloc_(2 * 4096 + tuning.log_region_bytes,
-             disk->geometry().capacity_bytes - (2 * 4096 + tuning.log_region_bytes)) {
+             disk->geometry().capacity_bytes - (2 * 4096 + tuning.log_region_bytes)),
+      engine_(disk, &alloc_, &pending_frees_, tuning.betree) {
   // max_increments is NOT clamped to the superblock's chain capacity: when
   // the chain fills before an increment budget this large is spent, the
   // oldest increments fold into one (FoldChain) instead of forcing a base.
-  EngineContext ctx;
-  ctx.disk = disk_;
-  ctx.alloc = &alloc_;
-  ctx.pending_frees = &pending_frees_;
-  engine_ = MakeStoreEngine(tuning_.engine, ctx, tuning_.betree);
 }
 
 uint64_t SingleLevelStore::Checksum(const void* data, size_t len) {
@@ -92,7 +85,7 @@ Status SingleLevelStore::Format() {
 }
 
 Status SingleLevelStore::FormatLocked() {
-  engine_->Reset();
+  engine_.Reset();
   alloc_.Reset();
   root_ = kInvalidObject;
   generation_ = 0;
@@ -176,15 +169,14 @@ Status SingleLevelStore::FoldChain() {
   // The superblock can name kMaxChain sections and the chain is full, but
   // nothing demands a base: merge the oldest half of the increments into ONE
   // increment whose replay is equivalent to replaying them in order. The
-  // engine merges its bodies; the store merges its label records
-  // (latest-wins per id — exactly what replaying them in order produces).
+  // engine merges the bodies; increments carry no store-level label records
+  // (their label deltas ride inside the body as messages).
   size_t fold = (chain_.size() - 1) / 2;
   if (fold < 2) {
     return Status::kOk;  // nothing to gain
   }
   std::vector<std::vector<uint8_t>> bodies;
   bodies.reserve(fold);
-  std::map<uint32_t, std::vector<uint8_t>> labels;
   uint64_t merged_epoch = 0;
   for (size_t i = 1; i <= fold; ++i) {
     const Extent& ext = chain_[i];
@@ -206,21 +198,9 @@ Status SingleLevelStore::FoldChain() {
     uint64_t epoch = r.U64();
     uint8_t kind = r.U8();
     uint8_t eng = r.U8();
-    if (r.fail || magic != kSectionMagic || kind != 1 ||
-        eng != static_cast<uint8_t>(engine_->kind())) {
-      return Status::kCorrupt;
-    }
     uint32_t n_labels = r.U32();
-    for (uint32_t j = 0; j < n_labels && !r.fail; ++j) {
-      uint32_t id = r.U32();
-      uint32_t len = r.U32();
-      std::vector<uint8_t> bytes;
-      if (!r.Bytes(&bytes, len)) {
-        break;
-      }
-      labels[id] = std::move(bytes);
-    }
-    if (r.fail) {
+    if (r.fail || magic != kSectionMagic || kind != 1 || eng != kSectionEngine ||
+        n_labels != 0) {
       return Status::kCorrupt;
     }
     bodies.emplace_back(image.begin() + static_cast<ptrdiff_t>(r.pos),
@@ -232,14 +212,9 @@ Status SingleLevelStore::FoldChain() {
   PutU64(&image, kSectionMagic);
   PutU64(&image, merged_epoch);  // replays in the folded range's place
   PutU8(&image, 1);
-  PutU8(&image, static_cast<uint8_t>(engine_->kind()));
-  PutU32(&image, static_cast<uint32_t>(labels.size()));
-  for (const auto& [id, bytes] : labels) {
-    PutU32(&image, id);
-    PutU32(&image, static_cast<uint32_t>(bytes.size()));
-    image.insert(image.end(), bytes.begin(), bytes.end());
-  }
-  Status st = engine_->MergeSectionBodies(bodies, &image);
+  PutU8(&image, kSectionEngine);
+  PutU32(&image, 0);  // no store-level label records in an increment
+  Status st = engine_.MergeSectionBodies(bodies, &image);
   if (st != Status::kOk) {
     return st;
   }
@@ -287,7 +262,7 @@ Status SingleLevelStore::CommitSection(const std::vector<LabelTableRecord>* labe
   // fold when the superblock's chain slots run out first.
   StoreAlloc::Check();
   bool base = need_base_ || chain_.empty() ||
-              chain_.size() - 1 >= tuning_.max_increments || engine_->WantsBase();
+              chain_.size() - 1 >= tuning_.max_increments || engine_.WantsBase();
   if (!base && chain_.size() >= kMaxChain) {
     Status st = FoldChain();
     if (st != Status::kOk) {
@@ -301,7 +276,7 @@ Status SingleLevelStore::CommitSection(const std::vector<LabelTableRecord>* labe
   PutU64(&image, kSectionMagic);
   PutU64(&image, epoch_ + 1);
   PutU8(&image, base ? 0 : 1);
-  PutU8(&image, static_cast<uint8_t>(engine_->kind()));
+  PutU8(&image, kSectionEngine);
   if (base) {
     PutU32(&image, static_cast<uint32_t>(label_table_.size()));
     for (const auto& [id, bytes] : label_table_) {  // ascending id: re-intern order
@@ -309,21 +284,11 @@ Status SingleLevelStore::CommitSection(const std::vector<LabelTableRecord>* labe
       PutU32(&image, static_cast<uint32_t>(bytes.size()));
       image.insert(image.end(), bytes.begin(), bytes.end());
     }
-  } else if (!engine_->OwnsLabelDelta()) {
-    size_t n_labels = label_delta != nullptr ? label_delta->size() : 0;
-    PutU32(&image, static_cast<uint32_t>(n_labels));
-    if (label_delta != nullptr) {
-      for (const LabelTableRecord& rec : *label_delta) {
-        PutU32(&image, rec.id);
-        PutU32(&image, static_cast<uint32_t>(rec.bytes.size()));
-        image.insert(image.end(), rec.bytes.begin(), rec.bytes.end());
-      }
-    }
   } else {
-    // The engine carries label deltas inside its body (Bε-tree messages).
+    // An increment's label delta rides inside the engine's body as messages.
     PutU32(&image, 0);
   }
-  Status st = engine_->EmitSectionBody(base, label_delta, &image);
+  Status st = engine_.EmitSectionBody(base, label_delta, &image);
   if (st != Status::kOk) {
     return st;
   }
@@ -356,7 +321,7 @@ Status SingleLevelStore::CommitSection(const std::vector<LabelTableRecord>* labe
   }
   chain_.push_back(Extent{off.value(), image.size() + 8});
   need_base_ = false;
-  engine_->OnSectionWritten(base);
+  engine_.OnSectionWritten(base);
   last_commit_base_ = base;
   last_section_bytes_ = image.size() + 8;
   st = WriteSuperblock();
@@ -377,8 +342,7 @@ Status SingleLevelStore::CommitSection(const std::vector<LabelTableRecord>* labe
 
 Status SingleLevelStore::Checkpoint(const CheckpointBatch& batch) {
   MutexLock lock(&mu_);
-  StoreOpTrace t(trace::StoreOp::kCheckpoint, disk_,
-                 static_cast<uint8_t>(engine_->kind()));
+  StoreOpTrace t(trace::StoreOp::kCheckpoint, disk_);
   Status st;
   try {
     st = CheckpointLocked(batch);
@@ -404,19 +368,18 @@ Status SingleLevelStore::CheckpointLocked(const CheckpointBatch& batch) {
     live_set[id] = true;
   }
   std::vector<ObjectId> held;
-  engine_->AppendLiveIds(&held);
+  engine_.AppendLiveIds(&held);
   for (ObjectId id : held) {
     if (live_set.find(id) == live_set.end()) {
-      engine_->DeleteObject(id);
+      engine_.DeleteObject(id);
     }
   }
-  // Write every dirty object image (delayed allocation: the blob engine
-  // lands the batch contiguously in creation order; the Bε-tree engine
-  // stages the batch as messages and writes nothing yet).
+  // Stage every dirty object image (the engine writes nothing yet: the
+  // batch reaches disk inside this commit's section).
   std::unordered_map<uint64_t, bool> dirty_ids;
   dirty_ids.reserve(batch.dirty.size());
   for (const ObjectImage& img : batch.dirty) {
-    Status st = engine_->WriteObject(img.id, img.bytes, img.meta_len);
+    Status st = engine_.WriteObject(img.id, img.bytes, img.meta_len);
     if (st != Status::kOk) {
       return st;
     }
@@ -426,13 +389,13 @@ Status SingleLevelStore::CheckpointLocked(const CheckpointBatch& batch) {
   // subsumed. After a recovery, an object can exist ONLY as a WAL record
   // (fsynced, never checkpointed, restored with a clean dirty mark):
   // without this fold, advancing log_applied_seq_ would orphan it — in
-  // neither the map nor the replayable log. Ids this batch rewrote are
+  // neither the tree nor the replayable log. Ids this batch rewrote are
   // skipped (their dirty image is newer), as are ids that just died.
   for (const auto& [id, img] : log_tail_) {
     if (dirty_ids.count(id) != 0 || live_set.find(id) == live_set.end()) {
       continue;
     }
-    Status st = engine_->WriteObject(id, img.bytes, img.meta_len);
+    Status st = engine_.WriteObject(id, img.bytes, img.meta_len);
     if (st != Status::kOk) {
       return st;
     }
@@ -457,8 +420,7 @@ Status SingleLevelStore::CheckpointLocked(const CheckpointBatch& batch) {
 Status SingleLevelStore::SyncOne(ObjectId id, const std::vector<uint8_t>& bytes,
                                  uint64_t meta_len) {
   MutexLock lock(&mu_);
-  StoreOpTrace t(trace::StoreOp::kSyncOne, disk_,
-                 static_cast<uint8_t>(engine_->kind()));
+  StoreOpTrace t(trace::StoreOp::kSyncOne, disk_);
   Status st;
   try {
     st = SyncOneLocked(id, bytes, meta_len);
@@ -475,7 +437,7 @@ Status SingleLevelStore::SyncOneLocked(ObjectId id, const std::vector<uint8_t>& 
   if (bytes.size() > tuning_.log_region_bytes / 4) {
     // Too big for the log: hand it to the engine and commit the new state
     // as an increment (or a base if one is due).
-    Status st = engine_->WriteObject(id, bytes, meta_len);
+    Status st = engine_.WriteObject(id, bytes, meta_len);
     if (st != Status::kOk) {
       return st;
     }
@@ -522,17 +484,17 @@ Status SingleLevelStore::ApplyLog() {
   StoreAlloc::Check();
   ++log_applies_;
   for (const auto& [id, img] : log_tail_) {
-    Status st = engine_->WriteObject(id, img.bytes, img.meta_len);
+    Status st = engine_.WriteObject(id, img.bytes, img.meta_len);
     if (st != Status::kOk) {
       return st;
     }
   }
   last_commit_objects_ = log_tail_.size();
   log_applied_seq_ = log_seq_;
-  // Folded WAL images are self-contained; the map updates commit as an
-  // increment with no label records. As in Checkpoint, the log region is
-  // only recycled once the commit is durable: a failed commit keeps the
-  // records (and the tail, for the retry's re-fold) intact for replay.
+  // Folded WAL images are self-contained; they commit as an increment with
+  // no label records. As in Checkpoint, the log region is only recycled
+  // once the commit is durable: a failed commit keeps the records (and the
+  // tail, for the retry's re-fold) intact for replay.
   Status st = CommitSection(nullptr);
   if (st == Status::kOk) {
     log_head_ = 0;
@@ -545,8 +507,7 @@ Status SingleLevelStore::ApplyLog() {
 Status SingleLevelStore::SyncPages(ObjectId id, uint64_t offset,
                                    const std::vector<uint8_t>& pages) {
   MutexLock lock(&mu_);
-  StoreOpTrace t(trace::StoreOp::kSyncPages, disk_,
-                 static_cast<uint8_t>(engine_->kind()));
+  StoreOpTrace t(trace::StoreOp::kSyncPages, disk_);
   Status st;
   try {
     st = SyncPagesLocked(id, offset, pages);
@@ -560,12 +521,12 @@ Status SingleLevelStore::SyncPages(ObjectId id, uint64_t offset,
 Status SingleLevelStore::SyncPagesLocked(ObjectId id, uint64_t offset,
                                          const std::vector<uint8_t>& pages) {
   // The engine either writes the pages in place past the checksummed
-  // metadata prefix and barriers (blob path, leaf-resident Bε-tree path) or
-  // stages a patched image and asks for a commit (the pages then become
-  // durable with the section write + superblock flip — same sync contract,
-  // different mechanism).
+  // metadata prefix and barriers (the object is leaf-resident) or stages a
+  // patched image and asks for a commit (the pages then become durable with
+  // the section write + superblock flip — same sync contract, different
+  // mechanism).
   bool needs_commit = false;
-  Status st = engine_->FlushPages(id, offset, pages, &needs_commit);
+  Status st = engine_.FlushPages(id, offset, pages, &needs_commit);
   if (st != Status::kOk) {
     return st;
   }
@@ -586,13 +547,12 @@ Result<uint64_t> SingleLevelStore::TouchObject(ObjectId id) {
 }
 
 Result<uint64_t> SingleLevelStore::TouchObjectLocked(ObjectId id) {
-  return engine_->TouchObject(id);
+  return engine_.TouchObject(id);
 }
 
 Status SingleLevelStore::Recover(Kernel* kernel) {
   MutexLock lock(&mu_);
-  StoreOpTrace t(trace::StoreOp::kRestore, disk_,
-                 static_cast<uint8_t>(engine_->kind()));
+  StoreOpTrace t(trace::StoreOp::kRestore, disk_);
   Status st;
   try {
     st = RecoverLocked(kernel);
@@ -617,11 +577,11 @@ Status SingleLevelStore::RecoverLocked(Kernel* kernel) {
 
   // Replay the checkpoint chain in order: the base re-creates the label
   // table and the engine's full state, each increment folds its delta on
-  // top. The base section's engine byte decides which engine owns the disk:
-  // a store configured for one engine boots a disk written by the other by
-  // adopting the on-disk engine (every section must agree).
+  // top. Every section must carry the Bε-tree engine byte: a section
+  // written by the removed blob engine (byte 0) has a body this engine
+  // cannot parse.
   label_table_.clear();
-  engine_->Reset();
+  engine_.Reset();
   chain_.clear();
   pending_frees_.clear();
   if (sb.chain_len > kMaxChain) {
@@ -649,19 +609,8 @@ Status SingleLevelStore::RecoverLocked(Kernel* kernel) {
     uint8_t kind = r.U8();
     uint8_t eng = r.U8();
     if (r.fail || magic != kSectionMagic || epoch <= prev_epoch ||
-        kind != (i == 0 ? 0 : 1) || eng > static_cast<uint8_t>(EngineKind::kBetree)) {
+        kind != (i == 0 ? 0 : 1) || eng != kSectionEngine) {
       return Status::kCorrupt;
-    }
-    if (i == 0) {
-      if (eng != static_cast<uint8_t>(engine_->kind())) {
-        EngineContext ctx;
-        ctx.disk = disk_;
-        ctx.alloc = &alloc_;
-        ctx.pending_frees = &pending_frees_;
-        engine_ = MakeStoreEngine(static_cast<EngineKind>(eng), ctx, tuning_.betree);
-      }
-    } else if (eng != static_cast<uint8_t>(engine_->kind())) {
-      return Status::kCorrupt;  // a chain never mixes engines
     }
     uint32_t n_labels = r.U32();
     for (uint32_t j = 0; j < n_labels && !r.fail; ++j) {
@@ -676,7 +625,7 @@ Status SingleLevelStore::RecoverLocked(Kernel* kernel) {
     if (r.fail) {
       return Status::kCorrupt;
     }
-    st = engine_->LoadSectionBody(
+    st = engine_.LoadSectionBody(
         i == 0, &r, [this](uint32_t id, std::vector<uint8_t> bytes) {
           label_table_[id] = std::move(bytes);
         });
@@ -687,12 +636,11 @@ Status SingleLevelStore::RecoverLocked(Kernel* kernel) {
     chain_.push_back(ext);
   }
 
-  // Rebuild the allocator: carve out the extents the engine references
-  // (object blobs / tree nodes) and the chain's section extents from a
-  // freshly reset free pool.
+  // Rebuild the allocator: carve out the tree's node extents and the
+  // chain's section extents from a freshly reset free pool.
   alloc_.Reset();
   std::vector<Extent> used;
-  engine_->CollectExtents(&used);
+  engine_.CollectExtents(&used);
   for (const Extent& e : chain_) {
     used.push_back(e);
   }
@@ -720,9 +668,9 @@ Status SingleLevelStore::RecoverLocked(Kernel* kernel) {
   }
   need_base_ = chain_.empty() || !ids_stable;
 
-  // Load every object into the kernel (checksum discipline is the engine's;
-  // both engines verify the metadata-prefix checksum and strip it).
-  st = engine_->LoadAllObjects(
+  // Load every object into the kernel (the engine verifies each image's
+  // metadata-prefix checksum and strips it).
+  st = engine_.LoadAllObjects(
       [kernel](const std::vector<uint8_t>& blob) { return kernel->RestoreObject(blob); });
   if (st != Status::kOk) {
     return st;

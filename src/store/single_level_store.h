@@ -11,17 +11,16 @@
 //
 // Persistence model, as in the paper plus the incremental-checkpoint layer
 // (docs/persistence.md has the byte-level formats):
-//  * group sync / checkpoint: dirty objects are written to freshly allocated
-//    (contiguous — "delayed allocation") extents in LABEL-REF format (labels
-//    appear as 32-bit interned ids), then ONE checkpoint section is written
-//    carrying an epoch header, the label-table records (full table for a
-//    base snapshot, only the delta for an increment), the object-map records
-//    for this epoch's writes, and the ids deleted this epoch. A superblock
-//    flip commits the whole state atomically. After a full base snapshot,
-//    subsequent checkpoints are increments: they write O(dirty) blobs and an
-//    O(delta) section, never the O(live) map image the pre-incremental
-//    format rewrote every sync. A base is forced on format, after a restore
-//    that could not reproduce the on-disk label-id space, and every
+//  * group sync / checkpoint: dirty objects, in LABEL-REF format (labels
+//    appear as 32-bit interned ids), are handed to the Bε-tree engine
+//    (betree.h), then ONE checkpoint section is written carrying an epoch
+//    header and the engine's body. An increment's body is the staged
+//    message batch, this epoch's label delta included — O(dirty) bytes in
+//    one sequential write. A base section carries the full label table and
+//    a body naming the freshly flushed tree's root. A superblock flip
+//    commits the whole state atomically. A base is forced on format, after a
+//    restore that could not reproduce the on-disk label-id space, when the
+//    engine's staged messages outgrow its root buffer, and every
 //    `max_increments` epochs (bounding recovery replay length).
 //  * per-object sync (fsync path): the object's SELF-CONTAINED image is
 //    appended to the sequential write-ahead log and barriered (a log record
@@ -30,7 +29,8 @@
 //    into the heap and committed as an increment, matching the paper's
 //    "once per approximately every 1,000 synchronous operations".
 //  * in-place page flush (sys_sync_pages): the segment's real payload bytes
-//    are written into its home extent past the checksummed metadata prefix.
+//    are written into its tree leaf past the checksummed metadata prefix
+//    (or, if its freshest image is still staged, committed with a section).
 //    Object checksums cover only that prefix (`meta_len`), so the in-place
 //    write can never make the blob fail validation at recovery — the fix
 //    for the old stale-checksum crash window, at the documented cost of
@@ -40,7 +40,7 @@
 //    checksum).
 //  * recovery: pick the newer valid superblock, replay the section chain in
 //    order (base, then each increment — epochs must ascend) to rebuild the
-//    label table and object map, hand the label table to the kernel FIRST
+//    label table and the tree, hand the label table to the kernel FIRST
 //    (one re-intern pass, yielding the old-id → new-id remap), then load
 //    every object and finally replay valid log records with seq > the
 //    superblock's applied sequence. A torn log record ends replay
@@ -50,7 +50,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -59,7 +58,7 @@
 #include "src/kernel/kernel.h"
 #include "src/store/bptree.h"
 #include "src/store/disk_model.h"
-#include "src/store/engine.h"
+#include "src/store/betree.h"
 #include "src/store/extent_alloc.h"
 
 namespace histar {
@@ -72,11 +71,7 @@ struct StoreTuning {
   // superblock's chain capacity, the oldest increments are folded into one
   // merged increment (FoldChain) instead of forcing a base.
   uint32_t max_increments = 32;
-  // Which storage engine owns object placement and section bodies
-  // (engine.h). Recovery adopts whatever engine the disk was written with,
-  // regardless of this knob.
-  EngineKind engine = EngineKind::kBlob;
-  // Shape knobs for the Bε-tree engine (ignored by the blob engine).
+  // Shape knobs for the Bε-tree engine.
   BetreeParams betree;
 };
 
@@ -160,21 +155,12 @@ class SingleLevelStore : public PersistTarget {
     MutexLock lock(&mu_);
     return chain_folds_;
   }
-  EngineKind engine_kind() const {
+  // The engine itself (tests: tree introspection). Owned by the store;
+  // callers use this single-threaded, between operations, which is why
+  // handing the pointer out of the lock scope is tolerable here.
+  BetreeEngine* engine() {
     MutexLock lock(&mu_);
-    return engine_->kind();
-  }
-  const char* engine_name() const {
-    MutexLock lock(&mu_);
-    return engine_->name();
-  }
-  // The engine itself (tests: e.g. downcasting to BetreeEngine for tree
-  // introspection). Owned by the store; may be replaced by Recover — callers
-  // use this single-threaded, between operations, which is why handing the
-  // raw pointer out of the lock scope is tolerable here.
-  StoreEngine* engine() {
-    MutexLock lock(&mu_);
-    return engine_.get();
+    return &engine_;
   }
   // Shape of the most recent commit point (checkpoint, log apply, or large
   // sync): was it a base, how many object images did it write, how big was
@@ -196,6 +182,9 @@ class SingleLevelStore : public PersistTarget {
   static constexpr uint64_t kMagic = 0x48695374'61724f53ULL;  // "HiStarOS"
   static constexpr uint64_t kLogMagic = 0x4c4f4752'45435244ULL;
   static constexpr uint64_t kSectionMagic = 0x434b5054'53454354ULL;  // "CKPTSECT"
+  // A section header's engine byte. Always 1 (the Bε-tree); 0 marked the
+  // blob engine this store no longer has, and recovery refuses it.
+  static constexpr uint8_t kSectionEngine = 1;
   // Superblock chain capacity: one base + up to kMaxChain-1 increments.
   static constexpr size_t kMaxChain = 48;
   static constexpr size_t kLogHeaderWords = 5;  // magic, seq, id, len, meta_len
@@ -252,9 +241,11 @@ class SingleLevelStore : public PersistTarget {
   mutable Mutex mu_;
 
   ExtentAllocator alloc_ GUARDED_BY(mu_);
-  // Object placement + section bodies (engine.h). Recovery may replace this
-  // with the engine the disk was actually written with.
-  std::unique_ptr<StoreEngine> engine_ GUARDED_BY(mu_);
+  // Extents superseded during the in-progress commit; reusable only after
+  // the superblock flip commits (shadow paging discipline).
+  std::vector<Extent> pending_frees_ GUARDED_BY(mu_);
+  // Object placement + section bodies (betree.h).
+  BetreeEngine engine_ GUARDED_BY(mu_);
   ObjectId root_ GUARDED_BY(mu_) = kInvalidObject;
   uint64_t generation_ GUARDED_BY(mu_) = 0;
   bool which_sb_ GUARDED_BY(mu_) = false;  // slot to write next
@@ -267,9 +258,6 @@ class SingleLevelStore : public PersistTarget {
   std::vector<Extent> chain_ GUARDED_BY(mu_);  // committed: base + increments
   uint64_t epoch_ GUARDED_BY(mu_) = 0;   // epoch of latest committed section
   bool need_base_ GUARDED_BY(mu_) = true;  // force a base at the next commit
-  // Extents superseded during the in-progress commit; reusable only after
-  // the superblock flip commits (shadow paging discipline).
-  std::vector<Extent> pending_frees_ GUARDED_BY(mu_);
 
   // Introspection (see accessors above).
   bool last_commit_base_ GUARDED_BY(mu_) = false;

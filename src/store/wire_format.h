@@ -1,6 +1,6 @@
 // Little-endian wire primitives shared by the store's on-disk formats:
-// checkpoint sections (single_level_store.cc), engine section bodies
-// (engine.cc), Bε-tree messages and nodes (msg.h, betree.cc). The kernel's
+// checkpoint sections (single_level_store.cc), Bε-tree section bodies,
+// messages and nodes (msg.h, betree.cc). The kernel's
 // blob serializer (kernel_persist.cc) keeps its own copy on purpose — the
 // two formats are independent and must stay independently evolvable.
 #ifndef SRC_STORE_WIRE_FORMAT_H_
@@ -11,6 +11,18 @@
 #include <vector>
 
 namespace histar {
+
+// FNV-1a over bytes — the store's torn-write checksum (not cryptographic).
+inline uint64_t StoreChecksum(const void* data, size_t len) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t i = 0; i < len; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 namespace storewire {
 
 inline void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }

@@ -244,7 +244,7 @@ TEST(Recorder, StoreHistogramAndEventAgree) {
   uint64_t before[kHistBuckets] = {};
   SumStoreHist(StoreOp::kSyncPages, before);
   RecordStoreOp(StoreOp::kSyncPages, /*status=*/0, /*dur_ns=*/600, /*bytes=*/8192,
-                /*write_ops=*/2, /*engine_kind=*/1);
+                /*write_ops=*/2);
   uint64_t after[kHistBuckets] = {};
   SumStoreHist(StoreOp::kSyncPages, after);
   EXPECT_EQ(after[HistBucket(600)] - before[HistBucket(600)], 1u);
@@ -257,6 +257,7 @@ TEST(Recorder, StoreHistogramAndEventAgree) {
     if (e.kind == static_cast<uint8_t>(EventKind::kStoreCommit) && e.a == 8192 &&
         e.b == 2 && e.aux == static_cast<uint16_t>(StoreOp::kSyncPages)) {
       EXPECT_EQ(e.dur_ns, 600u);
+      EXPECT_EQ(e.c, 0u);  // reserved
       found = true;
     }
   }

@@ -70,7 +70,17 @@ TEST_F(AllocFailureTest, EveryNthFailurePointRetriesClean) {
   StoreAlloc::ResetAttempts();
   ASSERT_EQ(run_round(0), Status::kOk);
   const uint64_t checks_per_round = StoreAlloc::attempts();
-  ASSERT_GT(checks_per_round, 10u) << "the store path lost its injection points";
+  // The round is an increment (max_increments = 2, one base behind it), and
+  // every StoreAlloc::Check() site it reaches is counted exactly, so a lost
+  // injection point and an added one both fail here:
+  //   1                SingleLevelStore::CheckpointLocked entry
+  //   + segs.size()    BetreeEngine::WriteObject, one per dirty segment
+  //   + 1              SingleLevelStore::CommitSection entry
+  //   + 1              ExtentAllocator::Allocate for the section extent
+  // (the superseded-extent release after the flip runs under
+  // StoreAllocNoFail and counts nothing).
+  ASSERT_EQ(checks_per_round, 1 + segs.size() + 1 + 1)
+      << "the store path lost or gained an injection point";
 
   for (uint64_t n = 1; n <= checks_per_round; ++n) {
     for (size_t i = 0; i < segs.size(); ++i) {

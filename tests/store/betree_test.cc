@@ -13,13 +13,14 @@
 //    base-pending flag forces the retry to be a base;
 //  * the sys_sync_pages split: in place on a clean leaf blob (no commit),
 //    staged restage + commit otherwise;
-//  * engine adoption: recovery follows the section header's engine byte,
-//    not the configured tuning — either engine's disk boots under either
-//    default;
+//  * the engine byte: a section whose header names any engine but the
+//    Bε-tree (byte 0 was the removed blob engine) fails recovery with
+//    kCorrupt instead of being parsed as a Bε-tree body;
 //  * fold equivalence: MergeSectionBodies replays like the originals;
 //  * allocation-failure sweep over the base flush path.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <memory>
 #include <vector>
@@ -156,8 +157,7 @@ TEST(BetreeMsg, MergeBodiesEquivalentToSequentialReplay) {
   DiskModel disk(g);
   ExtentAllocator alloc(0, 1 << 20);
   std::vector<Extent> frees;
-  EngineContext ctx{&disk, &alloc, &frees};
-  BetreeEngine engine(ctx, BetreeParams{});
+  BetreeEngine engine(&disk, &alloc, &frees, BetreeParams{});
 
   MsgBuffer older;
   older.Apply(Upsert(1, {1, 1}, 2));
@@ -207,7 +207,6 @@ class BetreeStoreTest : public KernelTest {
     StoreTuning t;
     t.log_region_bytes = 1 << 20;
     t.log_apply_threshold = 50;
-    t.engine = EngineKind::kBetree;
     t.betree.node_bytes = 2048;
     t.betree.buffer_bytes = 1024;
     t.betree.root_buffer_bytes = root_buffer_bytes;
@@ -233,7 +232,7 @@ class BetreeStoreTest : public KernelTest {
   }
 
   BetreeEngine* Tree(SingleLevelStore* s = nullptr) {
-    return static_cast<BetreeEngine*>((s != nullptr ? s : store_.get())->engine());
+    return (s != nullptr ? s : store_.get())->engine();
   }
 
   std::unique_ptr<DiskModel> disk_;
@@ -418,44 +417,66 @@ TEST_F(BetreeStoreTest, SyncPagesWritesInPlaceOnCleanLeafStagesOtherwise) {
   EXPECT_EQ(out, 'q');
 }
 
-TEST_F(BetreeStoreTest, RecoveryAdoptsOnDiskEngineOverTuning) {
-  // Same disk layout knobs as TinyTuning, default (blob) engine. Only the
-  // engine choice may differ between the writing and the booting config —
-  // the WAL region size is layout, not policy.
-  StoreTuning blob_tuning;
-  blob_tuning.log_region_bytes = 1 << 20;
-  blob_tuning.log_apply_threshold = 50;
+// Chain extents of the newest superblock (docs/persistence.md "Superblock":
+// u64 words magic, generation, root, log_applied_seq, epoch, chain_len,
+// then (offset, length) pairs).
+std::vector<Extent> CommittedChain(DiskModel* disk) {
+  constexpr uint64_t kSuperblockMagic = 0x48695374'61724f53ULL;  // "HiStarOS"
+  std::vector<uint64_t> best;
+  for (uint64_t slot : {uint64_t{0}, uint64_t{4096}}) {
+    std::vector<uint64_t> words(6 + 2 * 48);
+    EXPECT_EQ(disk->Read(slot, words.data(), words.size() * 8), Status::kOk);
+    if (words[0] == kSuperblockMagic && (best.empty() || words[1] > best[1])) {
+      best = words;
+    }
+  }
+  std::vector<Extent> chain;
+  for (uint64_t i = 0; !best.empty() && i < best[5]; ++i) {
+    chain.push_back(Extent{best[6 + 2 * i], best[7 + 2 * i]});
+  }
+  return chain;
+}
 
-  // Betree-written disk, blob-configured boot.
+// Rewrites a committed section's engine byte (header offset 17: u64 magic,
+// u64 epoch, u8 kind, u8 engine) and re-seals its checksum, so the byte is
+// the only thing recovery can object to. Returns the byte it replaced.
+uint8_t PatchEngineByte(DiskModel* disk, const Extent& section, uint8_t engine) {
+  std::vector<uint8_t> image(section.length);
+  EXPECT_EQ(disk->Read(section.offset, image.data(), image.size()), Status::kOk);
+  uint8_t old = image[17];
+  image[17] = engine;
+  uint64_t csum = StoreChecksum(image.data(), image.size() - 8);
+  memcpy(image.data() + image.size() - 8, &csum, 8);
+  EXPECT_EQ(disk->Write(section.offset, image.data(), image.size()), Status::kOk);
+  return old;
+}
+
+TEST_F(BetreeStoreTest, RecoveryRefusesForeignEngineByte) {
+  // Every disk the blob engine formatted carries engine byte 0, and its
+  // section bodies are not Bε-tree bodies: recovery must refuse them
+  // (kCorrupt), base and increment alike, rather than parse them.
   ObjectId seg = MakeSegment(Label(), 128);
-  ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);
-  WorldMap before = WorldImage(*kernel_);
-  RebootResult r = RebootFromDisk(disk_.get(), blob_tuning);
-  ASSERT_EQ(r.status, Status::kOk);
-  EXPECT_EQ(r.store->engine_kind(), EngineKind::kBetree);
-  EXPECT_STREQ(r.store->engine_name(), "betree");
-  EXPECT_EQ(WorldImage(*r.kernel), before);
-  EXPECT_TRUE(r.kernel->ObjectExists(seg));
+  ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);  // base
+  char b = 'q';
+  ASSERT_EQ(kernel_->sys_segment_write(init_, RootEntry(seg), &b, 0, 1), Status::kOk);
+  ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);  // increment
+  ASSERT_FALSE(store_->last_commit_was_base());
+  WorldMap committed = WorldImage(*kernel_);
 
-  // Blob-written disk, betree-configured boot — on a fresh kernel, so the
-  // whole world is dirty and actually reaches the blank blob disk.
-  DiskGeometry g;
-  g.capacity_bytes = 64 << 20;
-  g.zero_latency = true;
-  g.store_data = true;
-  auto blob_disk = std::make_unique<DiskModel>(g);
-  auto blob_store = std::make_unique<SingleLevelStore>(blob_disk.get(), blob_tuning);
-  ASSERT_EQ(blob_store->Format(), Status::kOk);
-  auto blob_kernel = std::make_unique<Kernel>();
-  ObjectId binit = blob_kernel->BootstrapThread(Label(Level::k1), Label(Level::k2), "init");
-  CurrentThread bind(binit);
-  blob_kernel->AttachPersistTarget(blob_store.get());
-  ASSERT_EQ(blob_kernel->sys_sync(binit), Status::kOk);
-  WorldMap blob_world = WorldImage(*blob_kernel);
-  RebootResult rb = RebootFromDisk(blob_disk.get(), TinyTuning());
-  ASSERT_EQ(rb.status, Status::kOk);
-  EXPECT_EQ(rb.store->engine_kind(), EngineKind::kBlob);
-  EXPECT_EQ(WorldImage(*rb.kernel), blob_world);
+  std::vector<Extent> chain = CommittedChain(disk_.get());
+  ASSERT_EQ(chain.size(), 2u);
+  for (const Extent& section : chain) {
+    for (uint8_t engine : {uint8_t{0}, uint8_t{2}, uint8_t{0xff}}) {
+      ASSERT_EQ(PatchEngineByte(disk_.get(), section, engine), 1u);
+      EXPECT_EQ(RebootFromDisk(disk_.get(), tuning_).status, Status::kCorrupt)
+          << "engine byte " << int{engine};
+      ASSERT_EQ(PatchEngineByte(disk_.get(), section, 1), engine);
+      // Restoring the byte restores the boot: the patch itself is sound.
+      RebootResult r = RebootFromDisk(disk_.get(), tuning_);
+      ASSERT_EQ(r.status, Status::kOk);
+      EXPECT_EQ(WorldImage(*r.kernel), committed);
+    }
+  }
 }
 
 TEST_F(BetreeStoreTest, AllocationFailureSweepOverBaseFlush) {

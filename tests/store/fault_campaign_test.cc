@@ -49,12 +49,11 @@ StoreTuning CampaignTuning(Workload w) {
   t.log_apply_threshold = 8;   // low, so WAL folds commit mid-schedule
   t.max_increments = 3;        // low, so schedules cross base rollovers
   if (w == Workload::kBetreeHeavy) {
-    // The Bε-tree engine with a toy geometry: a ~1 kB root buffer makes
-    // nearly every sync a base flush (message injection, interior-buffer
-    // overflow pushes, leaf splits, the arena node write), so the armed
-    // faults race real tree writes — torn interior nodes included — not
-    // just section/superblock traffic.
-    t.engine = EngineKind::kBetree;
+    // A toy Bε-tree geometry: a ~1 kB root buffer makes nearly every sync a
+    // base flush (message injection, interior-buffer overflow pushes, leaf
+    // splits, the arena node write), so the armed faults race real tree
+    // writes — torn interior nodes included — not just section/superblock
+    // traffic.
     t.betree.node_bytes = 1024;
     t.betree.buffer_bytes = 512;
     t.betree.root_buffer_bytes = 1024;

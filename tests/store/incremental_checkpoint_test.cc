@@ -26,12 +26,11 @@
 namespace histar {
 namespace {
 
-StoreTuning SmallTuning(EngineKind engine = EngineKind::kBlob) {
+StoreTuning SmallTuning() {
   StoreTuning t;
   t.log_region_bytes = 1 << 20;
   t.log_apply_threshold = 50;
   t.max_increments = 4;
-  t.engine = engine;
   return t;
 }
 
@@ -49,13 +48,9 @@ std::map<ObjectId, std::vector<uint8_t>> WorldImage(const Kernel& k) {
   return img;
 }
 
-// Every chain property below must hold for both engines: the blob engine's
-// map-record sections and the Bε-tree engine's message-batch sections ride
-// the same superblock chain and the same WAL.
-class IncrementalCheckpointTest : public KernelTest,
-                                  public ::testing::WithParamInterface<EngineKind> {
+class IncrementalCheckpointTest : public KernelTest {
  protected:
-  StoreTuning Tuning() const { return SmallTuning(GetParam()); }
+  static StoreTuning Tuning() { return SmallTuning(); }
 
   void SetUp() override {
     KernelTest::SetUp();
@@ -81,13 +76,7 @@ class IncrementalCheckpointTest : public KernelTest,
   std::unique_ptr<SingleLevelStore> recovered_store_;
 };
 
-INSTANTIATE_TEST_SUITE_P(Engines, IncrementalCheckpointTest,
-                         ::testing::Values(EngineKind::kBlob, EngineKind::kBetree),
-                         [](const ::testing::TestParamInfo<EngineKind>& info) {
-                           return info.param == EngineKind::kBetree ? "betree" : "blob";
-                         });
-
-TEST_P(IncrementalCheckpointTest, FirstCheckpointIsBaseLaterOnesIncrements) {
+TEST_F(IncrementalCheckpointTest, FirstCheckpointIsBaseLaterOnesIncrements) {
   ObjectId seg = MakeSegment(Label(), 256);
   ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);
   EXPECT_TRUE(store_->last_commit_was_base());
@@ -102,7 +91,7 @@ TEST_P(IncrementalCheckpointTest, FirstCheckpointIsBaseLaterOnesIncrements) {
   EXPECT_GT(store_->epoch(), epoch0);
 }
 
-TEST_P(IncrementalCheckpointTest, IncrementWritesDirtyCountNotLiveCount) {
+TEST_F(IncrementalCheckpointTest, IncrementWritesDirtyCountNotLiveCount) {
   constexpr int kLive = 200;
   constexpr int kTouched = 5;
   std::vector<ObjectId> segs;
@@ -113,7 +102,6 @@ TEST_P(IncrementalCheckpointTest, IncrementWritesDirtyCountNotLiveCount) {
   ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);
   uint64_t base_bytes = disk_->bytes_written() - base_before;
   ASSERT_TRUE(store_->last_commit_was_base());
-  uint64_t base_section = store_->last_section_bytes();
 
   char b = 'y';
   for (int i = 0; i < kTouched; ++i) {
@@ -126,23 +114,15 @@ TEST_P(IncrementalCheckpointTest, IncrementWritesDirtyCountNotLiveCount) {
   uint64_t incr_bytes = disk_->bytes_written() - before;
 
   EXPECT_FALSE(store_->last_commit_was_base());
-  // O(k), not O(n): exactly the touched blobs...
+  // O(k), not O(n): exactly the touched objects...
   EXPECT_EQ(store_->last_commit_objects(), static_cast<uint64_t>(kTouched));
-  if (GetParam() == EngineKind::kBlob) {
-    // ...and a section listing k map records, nowhere near the full-map base
-    // section (which carries 200+ records plus the label table). Blob-only:
-    // the Bε-tree's base section is just a root pointer (the world lives in
-    // tree nodes), so its increment sections — which carry full object
-    // images as messages — are *larger* than its base section by design.
-    EXPECT_LT(store_->last_section_bytes() * 4, base_section);
-  }
-  // Total disk traffic for the increment is a small fraction of the base
-  // commit's, for both engines: O(dirty) blobs-or-messages plus a section
-  // and a superblock, vs the full world.
+  // ...and total disk traffic for the increment is a small fraction of the
+  // base commit's: O(dirty) messages in one section plus a superblock, vs
+  // the full world.
   EXPECT_LT(incr_bytes * 4, base_bytes);
 }
 
-TEST_P(IncrementalCheckpointTest, BaseIsForcedEveryMaxIncrements) {
+TEST_F(IncrementalCheckpointTest, BaseIsForcedEveryMaxIncrements) {
   ObjectId seg = MakeSegment(Label(), 64);
   ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);  // base, chain = 1
   char b = 'z';
@@ -160,7 +140,7 @@ TEST_P(IncrementalCheckpointTest, BaseIsForcedEveryMaxIncrements) {
   EXPECT_EQ(store_->chain_length(), 1u);
 }
 
-TEST_P(IncrementalCheckpointTest, LabelTableDedupsLabelHeavyWorld) {
+TEST_F(IncrementalCheckpointTest, LabelTableDedupsLabelHeavyWorld) {
   // ≥1k objects sharing ≤32 labels (the ISSUE 4 acceptance shape). The
   // labels are level combinations over three categories — three explicit
   // entries make each inline label ~4 words, which the label-ref format
@@ -191,10 +171,8 @@ TEST_P(IncrementalCheckpointTest, LabelTableDedupsLabelHeavyWorld) {
 
   // Per-object saving: the label-ref image of every segment is smaller than
   // its self-contained image, and summed over the world the saving dwarfs
-  // the one-time label table. (The object-map records exist in both formats
-  // — the pre-incremental store rewrote the full map image every sync — so
-  // the fair comparison is blob bytes + label-table bytes vs blob bytes
-  // with inline labels.)
+  // the one-time label table: the fair comparison is blob bytes +
+  // label-table bytes vs blob bytes with inline labels.
   uint64_t inline_total = 0;
   uint64_t ref_total = 0;
   for (ObjectId id : segs) {
@@ -228,7 +206,7 @@ TEST_P(IncrementalCheckpointTest, LabelTableDedupsLabelHeavyWorld) {
             Status::kLabelCheckFailed);
 }
 
-TEST_P(IncrementalCheckpointTest, ChainContinuesAcrossReboot) {
+TEST_F(IncrementalCheckpointTest, ChainContinuesAcrossReboot) {
   // Recovery re-interns the label table in ascending-id order, reproducing
   // the writing boot's ids — so the recovered store may keep extending the
   // same chain instead of rewriting the world.
@@ -258,7 +236,7 @@ TEST_P(IncrementalCheckpointTest, ChainContinuesAcrossReboot) {
   EXPECT_EQ(WorldImage(*k3), before);
 }
 
-TEST_P(IncrementalCheckpointTest, DeadObjectsRecordedByIncrements) {
+TEST_F(IncrementalCheckpointTest, DeadObjectsRecordedByIncrements) {
   ObjectId keep = MakeSegment(Label(), 64);
   ObjectId gone = MakeSegment(Label(), 64);
   ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);
@@ -271,7 +249,7 @@ TEST_P(IncrementalCheckpointTest, DeadObjectsRecordedByIncrements) {
   EXPECT_FALSE(k2->ObjectExists(gone));
 }
 
-TEST_P(IncrementalCheckpointTest, WalRecordsReplayOverTheChain) {
+TEST_F(IncrementalCheckpointTest, WalRecordsReplayOverTheChain) {
   // WAL blobs are self-contained; they must replay on top of base +
   // increments regardless of the label table's id space.
   ObjectId seg = MakeSegment(Label(), 64);
@@ -288,7 +266,7 @@ TEST_P(IncrementalCheckpointTest, WalRecordsReplayOverTheChain) {
   EXPECT_EQ(out, 'w');
 }
 
-TEST_P(IncrementalCheckpointTest, LongRunningCommitStreamFoldsChain) {
+TEST_F(IncrementalCheckpointTest, LongRunningCommitStreamFoldsChain) {
   // The superblock holds 48 (offset, length) section slots. Before this PR a
   // commit stream that outlived the slots forced a full base rollover — an
   // O(live-world) write spike in the middle of an otherwise O(dirty)
@@ -436,7 +414,7 @@ class MidCommitWriter : public PersistTarget {
   int checkpoints = 0;
 };
 
-TEST_P(IncrementalCheckpointTest, WriteDuringCommitStaysDirtyForNextIncrement) {
+TEST_F(IncrementalCheckpointTest, WriteDuringCommitStaysDirtyForNextIncrement) {
   MidCommitWriter target;
   kernel_->AttachPersistTarget(&target);
   ObjectId seg = MakeSegment(Label(), 16);

@@ -301,15 +301,12 @@ TEST(DiskModel, TornWriteCrash) {
 
 // ---- SingleLevelStore ----------------------------------------------------------
 
-// The whole store suite runs once per engine: every durability property the
-// blob path guarantees, the Bε-tree path must guarantee too.
-class StoreTest : public KernelTest, public ::testing::WithParamInterface<EngineKind> {
+class StoreTest : public KernelTest {
  protected:
-  StoreTuning Tuning() const {
+  static StoreTuning Tuning() {
     StoreTuning tuning;
     tuning.log_region_bytes = 1 << 20;
     tuning.log_apply_threshold = 50;
-    tuning.engine = GetParam();
     return tuning;
   }
 
@@ -338,13 +335,7 @@ class StoreTest : public KernelTest, public ::testing::WithParamInterface<Engine
   std::unique_ptr<SingleLevelStore> store2_;
 };
 
-INSTANTIATE_TEST_SUITE_P(Engines, StoreTest,
-                         ::testing::Values(EngineKind::kBlob, EngineKind::kBetree),
-                         [](const ::testing::TestParamInfo<EngineKind>& info) {
-                           return info.param == EngineKind::kBetree ? "betree" : "blob";
-                         });
-
-TEST_P(StoreTest, CheckpointAndRecover) {
+TEST_F(StoreTest, CheckpointAndRecover) {
   ObjectId seg = MakeSegment(Label(), 64);
   const char msg[] = "single level store";
   ASSERT_EQ(kernel_->sys_segment_write(init_, RootEntry(seg), msg, 0, sizeof(msg)),
@@ -362,7 +353,7 @@ TEST_P(StoreTest, CheckpointAndRecover) {
   EXPECT_EQ(k2->root_container(), kernel_->root_container());
 }
 
-TEST_P(StoreTest, UnsyncedStateIsLostOnReboot) {
+TEST_F(StoreTest, UnsyncedStateIsLostOnReboot) {
   ObjectId early = MakeSegment(Label(), 16);
   ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);
   ObjectId late = MakeSegment(Label(), 16);  // never synced
@@ -371,7 +362,7 @@ TEST_P(StoreTest, UnsyncedStateIsLostOnReboot) {
   EXPECT_FALSE(k2->ObjectExists(late));
 }
 
-TEST_P(StoreTest, PerObjectSyncSurvivesViaLog) {
+TEST_F(StoreTest, PerObjectSyncSurvivesViaLog) {
   ObjectId seg = MakeSegment(Label(), 32);
   ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);
   const char msg[] = "walled";
@@ -390,7 +381,7 @@ TEST_P(StoreTest, PerObjectSyncSurvivesViaLog) {
   EXPECT_STREQ(out, msg);
 }
 
-TEST_P(StoreTest, LogAppliesInBatches) {
+TEST_F(StoreTest, LogAppliesInBatches) {
   ObjectId seg = MakeSegment(Label(), 32);
   ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);
   // 120 syncs with threshold 50 → 2 batch applies.
@@ -403,7 +394,7 @@ TEST_P(StoreTest, LogAppliesInBatches) {
   EXPECT_EQ(store_->log_records(), 120u);
 }
 
-TEST_P(StoreTest, TornLogRecordIsDiscardedOnRecovery) {
+TEST_F(StoreTest, TornLogRecordIsDiscardedOnRecovery) {
   ObjectId seg = MakeSegment(Label(), 32);
   uint32_t v = 0xaaaa5555;
   ASSERT_EQ(kernel_->sys_segment_write(init_, RootEntry(seg), &v, 0, 4), Status::kOk);
@@ -425,7 +416,7 @@ TEST_P(StoreTest, TornLogRecordIsDiscardedOnRecovery) {
   EXPECT_EQ(out, v);
 }
 
-TEST_P(StoreTest, CrashDuringCheckpointKeepsOldSnapshot) {
+TEST_F(StoreTest, CrashDuringCheckpointKeepsOldSnapshot) {
   ObjectId seg = MakeSegment(Label(), 1024);
   std::vector<uint8_t> ones(1024, 1);
   ASSERT_EQ(kernel_->sys_segment_write(init_, RootEntry(seg), ones.data(), 0, 1024),
@@ -436,8 +427,9 @@ TEST_P(StoreTest, CrashDuringCheckpointKeepsOldSnapshot) {
   ASSERT_EQ(kernel_->sys_segment_write(init_, RootEntry(seg), twos.data(), 0, 1024),
             Status::kOk);
   // Crash partway into the second checkpoint: the first thing it writes is
-  // the >=1024-byte segment image, so a 512-byte budget guarantees a torn
-  // object write long before the superblock flip.
+  // the increment section carrying the >=1024-byte segment image, so a
+  // 512-byte budget guarantees a torn section write long before the
+  // superblock flip.
   disk_->CrashAfterBytes(512);
   EXPECT_NE(kernel_->sys_sync(init_), Status::kOk);
   disk_->Repair();
@@ -450,24 +442,22 @@ TEST_P(StoreTest, CrashDuringCheckpointKeepsOldSnapshot) {
   EXPECT_EQ(out, 1);  // the old snapshot, never the torn one
 }
 
-TEST_P(StoreTest, DeletedObjectsDropFromDisk) {
+TEST_F(StoreTest, DeletedObjectsDropFromDisk) {
   ObjectId seg = MakeSegment(Label(), 64);
   ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);
   uint64_t free_with = store_->heap_free_bytes();
   ASSERT_EQ(kernel_->sys_container_unref(init_, RootEntry(seg)), Status::kOk);
-  // The Bε-tree engine stages the delete as a tombstone message; only a base
-  // flush applies it to the on-disk tree and returns the space. Demand one so
-  // both engines show the reclaim on this sync.
-  if (GetParam() == EngineKind::kBetree) {
-    store_->DemandBase();
-  }
+  // The engine stages the delete as a tombstone message; only a base flush
+  // applies it to the on-disk tree and returns the space. Demand one so the
+  // reclaim shows on this sync.
+  store_->DemandBase();
   ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);
   EXPECT_GT(store_->heap_free_bytes(), free_with);
   std::unique_ptr<Kernel> k2 = Reboot();
   EXPECT_FALSE(k2->ObjectExists(seg));
 }
 
-TEST_P(StoreTest, RecoverOnBlankDiskFails) {
+TEST_F(StoreTest, RecoverOnBlankDiskFails) {
   DiskGeometry g;
   g.capacity_bytes = 16 << 20;
   g.zero_latency = true;
@@ -477,7 +467,7 @@ TEST_P(StoreTest, RecoverOnBlankDiskFails) {
   EXPECT_EQ(s.Recover(&k), Status::kNotFound);
 }
 
-TEST_P(StoreTest, GenerationsAdvanceMonotonically) {
+TEST_F(StoreTest, GenerationsAdvanceMonotonically) {
   uint64_t g0 = store_->generation();
   ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);
   ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);

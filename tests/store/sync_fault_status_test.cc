@@ -22,7 +22,11 @@ StoreTuning AuditTuning() {
 
 class SyncFaultStatusTest : public KernelTest {
  protected:
-  void SetUp() override {
+  void SetUp() override { NewWorld(); }
+
+  // A fresh kernel on a freshly formatted disk (SetUp's world; tests that
+  // sweep fault positions call it again for each position).
+  void NewWorld() {
     KernelTest::SetUp();
     DiskGeometry g;
     g.capacity_bytes = 64 << 20;
@@ -107,18 +111,38 @@ TEST_F(SyncFaultStatusTest, WriteErrorFailsSyncObject) {
   EXPECT_EQ(WorldImage(*r.kernel), WorldImage(*kernel_));
 }
 
-// A device error some writes INTO the checkpoint (not the first) still
-// propagates — mid-operation statuses are not dropped on the floor.
+// A device error on any write INTO the checkpoint (not the first) still
+// propagates — mid-operation statuses are not dropped on the floor. The
+// checkpoint's writes are counted on an unarmed twin world, then every
+// index past the first is failed in turn, each on a fresh world.
 TEST_F(SyncFaultStatusTest, MidCheckpointWriteErrorPropagates) {
-  for (int i = 0; i < 6; ++i) {
-    ObjectId seg = MakeSegment(Label(), 128);
-    uint64_t stamp = static_cast<uint64_t>(i);
-    ASSERT_EQ(kernel_->sys_segment_write(init_, RootEntry(seg), &stamp, 0, 8), Status::kOk);
-  }
-  ArmWriteError(4);  // fifth write of the checkpoint
-  EXPECT_EQ(kernel_->sys_sync(init_), Status::kIoError);
-  EXPECT_EQ(disk_->faults_injected(FaultKind::kWriteError), 1u);
+  auto populate = [this] {
+    for (int i = 0; i < 6; ++i) {
+      ObjectId seg = MakeSegment(Label(), 128);
+      uint64_t stamp = static_cast<uint64_t>(i);
+      ASSERT_EQ(kernel_->sys_segment_write(init_, RootEntry(seg), &stamp, 0, 8),
+                Status::kOk);
+    }
+  };
+  populate();
+  uint64_t before = disk_->write_ops();
   ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);
+  const uint64_t n = disk_->write_ops() - before;
+  // A base checkpoint: tree node(s), section, section checksum, superblock.
+  ASSERT_GT(n, 2u);
+
+  for (uint64_t index = 1; index < n; ++index) {
+    NewWorld();
+    populate();
+    ArmWriteError(index);
+    EXPECT_EQ(kernel_->sys_sync(init_), Status::kIoError) << "write index " << index;
+    EXPECT_EQ(disk_->faults_injected(FaultKind::kWriteError), 1u) << "write index " << index;
+    EXPECT_FALSE(kernel_->DirtyObjects().empty()) << "write index " << index;
+    ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk) << "write index " << index;
+    RebootResult r = RebootFromDisk(disk_.get(), AuditTuning());
+    ASSERT_EQ(r.status, Status::kOk) << "write index " << index;
+    EXPECT_EQ(WorldImage(*r.kernel), WorldImage(*kernel_)) << "write index " << index;
+  }
 }
 
 // Allocation failure surfaces as kNoMem, distinct from device errors, with
