@@ -10,7 +10,7 @@ set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${1:-$ROOT/build}"
-CEILING=13715
+CEILING=12367
 
 if [ ! -x "$BUILD/bench_codesize" ]; then
   echo "check_tcb_lines.sh: $BUILD/bench_codesize missing — build it first" >&2

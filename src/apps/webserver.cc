@@ -231,8 +231,11 @@ void WebServer::AcceptLoop() {
     }
     std::string resp = HandleConnection(conn.value());
     if (!resp.empty()) {
-      net_->Send(self_, conn.value(), resp.data(), resp.size());
+      // Count before sending: netd's transmit loop may put the response on
+      // the wire before Send returns, and a client that has read it must
+      // see the count.
       served_.fetch_add(1);
+      net_->Send(self_, conn.value(), resp.data(), resp.size());
     }
     net_->CloseSocket(self_, conn.value());
   }

@@ -63,8 +63,8 @@ const char* EventKindName(uint8_t kind) {
       return "syscall";
     case EventKind::kTableLock:
       return "table_lock";
-    case EventKind::kRingChain:
-      return "ring_chain";
+    case EventKind::kRetired3:
+      return "retired";
     case EventKind::kEpochAdvance:
       return "epoch_advance";
     case EventKind::kEpochRetire:

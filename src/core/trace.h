@@ -55,7 +55,7 @@ namespace trace {
 // ---- clock ------------------------------------------------------------------
 //
 // The one place src/ reads the monotonic clock. Deadline-style call sites
-// (futex waits, ring waits) use SteadyNow(); the recorder uses NowNs().
+// (futex waits) use SteadyNow(); the recorder uses NowNs().
 // Always compiled, even with HISTAR_TRACE=0: removing *recording* must not
 // change *waiting*.
 inline std::chrono::steady_clock::time_point SteadyNow() {
@@ -85,7 +85,7 @@ enum class EventKind : uint8_t {
   kSyscall = 1,       // a=resolved object id, b=calling kernel thread id;
                       // aux=SyscallReq alternative index, code=Status
   kTableLock = 2,     // a=shard mask, b=exclusive?1:0, c=group size
-  kRingChain = 3,     // a=op count, b=proxy-execution?1:0, c=submitter id
+  kRetired3 = 3,      // was the async-ring chain; never recorded, never reused
   kEpochAdvance = 4,  // a=items freed, b=global epoch after
   kEpochRetire = 5,   // a=approx limbo size after the retire
   kStoreCommit = 6,   // a=bytes written, b=device write ops, c=0 (reserved);

@@ -250,57 +250,6 @@ struct SyncPagesReq {
   uint64_t len = 0;
 };
 
-// ---- Rings (PR 5: async submission/completion queues) -----------------------
-//
-// A ring submission is a span of RingOps — a SyscallReq each, plus link
-// flags and operand-routing slots (io_uring's IOSQE_IO_LINK analogue). The
-// RingOp/RingCompletion structs themselves are defined below the variants
-// (they embed them); the request/completion descriptors here only need the
-// vector members, which C++17 permits over incomplete element types.
-struct RingOp;
-struct RingCompletion;
-
-// Named u64-valued "slots" on descriptors that linked operands flow
-// through: `RingOp::from` selects a slot of the PREVIOUS entry's
-// completion, `RingOp::to` the slot of THIS request it overwrites before
-// execution. kObject/kContainer retarget a request's ⟨D,O⟩ entry, which
-// makes its shard footprint data-dependent — the chain executor flushes the
-// current lock group before such an entry (see kernel_batch.cc).
-enum class RingSlot : uint8_t {
-  kNone = 0,
-  kLen = 1,        // SegmentGetLenRes.len / NetReceiveRes.len → len/maxlen fields
-  kObject = 2,     // create-result id → ce.object
-  kCount = 3,      // FutexWakeRes.woken
-  kOff = 4,        // → off/offset fields
-  kContainer = 5,  // create-result id → ce.container
-};
-
-inline constexpr bool RingSlotNamesIds(RingSlot s) {
-  return s == RingSlot::kObject || s == RingSlot::kContainer;
-}
-
-// RingOp::flags: this entry is linked TO its successor — if this entry
-// fails, every transitively linked successor completes with kCancelled
-// instead of executing.
-inline constexpr uint32_t kRingLinked = 1u << 0;
-
-struct RingCreateReq {
-  CreateSpec spec;
-  uint32_t capacity = 0;  // 0 → kRingDefaultCapacity
-};
-struct RingSubmitReq {
-  ContainerEntry ring;
-  std::vector<RingOp> ops;
-};
-struct RingWaitReq {
-  ContainerEntry ring;
-  uint64_t ticket = 0;
-  uint32_t timeout_ms = 0;
-};
-struct RingReapReq {
-  ContainerEntry ring;
-  uint32_t max = 0;  // 0 → everything pending
-};
 // Flight-recorder export (PR 10): returns the flow-checked view of the
 // kernel trace rings (src/core/trace.h). `self` is the reader whose raised
 // label gates per-event visibility; events that do not flow to it are
@@ -311,9 +260,6 @@ struct TraceReadReq {
 
 inline constexpr uint32_t kTraceReadDefaultMax = 256;
 inline constexpr uint32_t kTraceReadMaxEvents = 16384;
-
-inline constexpr uint32_t kRingDefaultCapacity = 64;
-inline constexpr uint32_t kRingMaxCapacity = 4096;
 
 // ---- Completion descriptors -------------------------------------------------
 //
@@ -497,24 +443,6 @@ struct SyncObjectRes {
 struct SyncPagesRes {
   Status status = Status::kInvalidArg;
 };
-struct RingCreateRes {
-  Status status = Status::kInvalidArg;
-  ObjectId id = kInvalidObject;
-};
-struct RingSubmitRes {
-  Status status = Status::kInvalidArg;
-  // Sequence number of the submission's LAST op; sys_ring_wait(ticket)
-  // returns once every op up to it has a completion. Op i of an n-op
-  // submission carries seq = ticket - n + 1 + i in its RingCompletion.
-  uint64_t ticket = 0;
-};
-struct RingWaitRes {
-  Status status = Status::kInvalidArg;
-};
-struct RingReapRes {
-  Status status = Status::kInvalidArg;
-  std::vector<RingCompletion> completions;
-};
 // One exported flight-recorder event (the wire form of trace::Event plus
 // its slot/seq provenance). Labels travel as raw LabelIds: the flow check
 // already ran kernel-side, so every event here is one the reader may see.
@@ -545,7 +473,8 @@ struct TraceReadRes {
 // Alternative order is the ABI: SyscallRes alternative i+1 completes
 // SyscallReq alternative i (SyscallRes index 0 is monostate, "unfilled").
 // Appending new syscalls at the end keeps existing indices (trace events
-// and SyscallKindName record them) stable.
+// and SyscallKindName record them) stable. Indices are never persisted,
+// so a trace dump is read with the tracefmt built from the same tree.
 using SyscallReq = std::variant<
     CatCreateReq, SelfSetLabelReq, SelfSetClearanceReq, SelfGetLabelReq, SelfGetClearanceReq,
     SelfSetAsReq, SelfGetAsReq, SelfHaltReq, ThreadCreateReq, ThreadAlertReq, SelfNextAlertReq,
@@ -556,8 +485,7 @@ using SyscallReq = std::variant<
     SegmentResizeReq, SegmentGetLenReq, SegmentReadReq, SegmentWriteReq, AsCreateReq, AsSetReq,
     AsGetReq, AsAccessReq, GateCreateReq, GateInvokeReq, GateGetClosureReq, FutexWaitReq,
     FutexWakeReq, NetMacAddrReq, NetTransmitReq, NetReceiveReq, NetWaitReq, ConsoleWriteReq,
-    SyncReq, SyncObjectReq, SyncPagesReq, RingCreateReq, RingSubmitReq, RingWaitReq,
-    RingReapReq, TraceReadReq>;
+    SyncReq, SyncObjectReq, SyncPagesReq, TraceReadReq>;
 
 using SyscallRes = std::variant<
     std::monostate, CatCreateRes, SelfSetLabelRes, SelfSetClearanceRes, SelfGetLabelRes,
@@ -569,8 +497,7 @@ using SyscallRes = std::variant<
     SegmentCreateRes, SegmentCopyRes, SegmentResizeRes, SegmentGetLenRes, SegmentReadRes,
     SegmentWriteRes, AsCreateRes, AsSetRes, AsGetRes, AsAccessRes, GateCreateRes, GateInvokeRes,
     GateGetClosureRes, FutexWaitRes, FutexWakeRes, NetMacAddrRes, NetTransmitRes, NetReceiveRes,
-    NetWaitRes, ConsoleWriteRes, SyncRes, SyncObjectRes, SyncPagesRes, RingCreateRes,
-    RingSubmitRes, RingWaitRes, RingReapRes, TraceReadRes>;
+    NetWaitRes, ConsoleWriteRes, SyncRes, SyncObjectRes, SyncPagesRes, TraceReadRes>;
 
 inline constexpr size_t kNumSyscallKinds = std::variant_size_v<SyscallReq>;
 static_assert(std::variant_size_v<SyscallRes> == kNumSyscallKinds + 1,
@@ -582,39 +509,10 @@ static_assert(std::variant_size_v<SyscallRes> == kNumSyscallKinds + 1,
 // compile error. Consumers: trace dumps, tools/tracefmt, docs.
 const char* SyscallKindName(size_t index);
 
-// One entry of a ring submission: the request itself plus the link flag and
-// operand routing (defined after the variants because it embeds them).
-struct RingOp {
-  SyscallReq req;
-  uint32_t flags = 0;               // kRingLinked
-  RingSlot from = RingSlot::kNone;  // completion slot of the PREVIOUS entry
-  RingSlot to = RingSlot::kNone;    // request slot of THIS entry to overwrite
-};
-
-// One reaped completion: the per-ring op sequence number plus the filled
-// completion descriptor (kCancelled-status for ops a linked predecessor's
-// failure cancelled).
-struct RingCompletion {
-  uint64_t seq = 0;
-  SyscallRes res;
-};
-
-// ---- Chain/completion utilities (syscall_abi.cc) ----------------------------
-//
-// Every completion alternative leads with a Status; these helpers give the
-// chain executor and ring machinery generic access to it without a 50-arm
-// switch at each use site.
-//
-// The Status of a completion (kInvalidArg for an unfilled monostate).
+// The Status of a completion (kInvalidArg for an unfilled monostate):
+// every completion alternative leads with one, so callers need no 50-arm
+// switch to read it.
 Status ResStatus(const SyscallRes& res);
-// Fills *out with the completion alternative matching `req`, carrying
-// status `st` and default value fields (how cancelled ring ops complete).
-void MakeRes(const SyscallReq& req, Status st, SyscallRes* out);
-// Reads slot `slot` of a completion / overwrites slot `slot` of a request.
-// False if the descriptor has no such slot (the chain executor cancels the
-// consumer with kInvalidArg).
-bool ResSlotRead(const SyscallRes& res, RingSlot slot, uint64_t* v);
-bool ReqSlotWrite(SyscallReq* req, RingSlot slot, uint64_t v);
 
 }  // namespace histar
 

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "src/core/label_memo.h"
-#include "src/kernel/ring.h"
 #include "src/kernel/thread_runner.h"
 #include "src/unixlib/mutex.h"
 
@@ -33,16 +32,22 @@ constexpr uint8_t kMsgSynAck = 2;
 constexpr uint8_t kMsgData = 3;
 constexpr uint8_t kMsgFin = 4;
 constexpr uint16_t kMss = 1400;
+// Data frames per tx-ring read in DrainTx.
+constexpr uint64_t kTxBurstFrames = 16;
 
 // Stream header after the 14-byte frame header:
 // [type u8][sport u16][dport u16][len u16] = 7 bytes.
 constexpr size_t kStreamHeader = 7;
 
-// Staging-slot layout inside rxbuf_seg_ (see netd.h): receive burst slots,
-// then transmit burst slots, then the synchronous control slot.
-constexpr uint64_t kTxSlot0 = uint64_t{kNetRxBurst} * kNetFrameMax;
-constexpr uint64_t kCtlSlot = kTxSlot0 + uint64_t{kNetTxBurst} * kNetFrameMax;
-constexpr uint64_t kStagingBytes = kCtlSlot + kNetFrameMax;
+// Staging-slot layout inside rxbuf_seg_ (see netd.h): the pump's receive
+// slot, then the transmit slot every mu_ holder composes frames in.
+constexpr uint64_t kRxSlot = 0;
+constexpr uint64_t kTxSlot = kNetFrameMax;
+constexpr uint64_t kStagingBytes = 2 * kNetFrameMax;
+
+// Transmit loop wait bound. The doorbell wakes the loop; the bound only
+// retries a frame that failed to transmit while no new Send rang.
+constexpr uint32_t kTxWaitMs = 50;
 
 uint64_t PackMac(const MacAddr& m) {
   uint64_t v = 0;
@@ -101,75 +106,6 @@ Status RingGet(Kernel* k, ObjectId self, ContainerEntry seg, uint64_t base, uint
 }
 
 }  // namespace
-
-int RingDrainNic(Kernel* kernel, ObjectId self, ContainerEntry ring, ContainerEntry dev,
-                 ContainerEntry staging, uint64_t slot0_off, uint32_t burst,
-                 std::vector<uint8_t>* scratch,
-                 const std::function<void(std::vector<uint8_t>&&)>& fn) {
-  // ONE submission: `burst` independent [receive →link→ read] chains. The
-  // NetReceiveRes length flows into the linked SegmentReadReq (RingSlot
-  // routing), and an empty NIC (kAgain) cancels just that chain's read.
-  std::vector<RingOp> ops;
-  ops.reserve(2 * burst);
-  for (uint32_t slot = 0; slot < burst; ++slot) {
-    uint64_t off = slot0_off + uint64_t{slot} * kNetFrameMax;
-    ops.push_back(
-        RingOp{SyscallReq{NetReceiveReq{dev, staging, off, kNetFrameMax}}, kRingLinked});
-    ops.push_back(RingOp{SyscallReq{SegmentReadReq{staging, scratch->data() +
-                                                                (slot * kNetFrameMax),
-                                                   off, 0}},
-                         0, RingSlot::kLen, RingSlot::kLen});
-  }
-  Result<uint64_t> ticket = kernel->sys_ring_submit(self, ring, std::move(ops));
-  if (!ticket.ok()) {
-    return -1;
-  }
-  // Every op in the burst is non-blocking (NetReceive polls, never sleeps),
-  // so completion is prompt; wait indefinitely rather than invent a timeout
-  // that could strand unreaped completions. kHalted/kNotFound are only
-  // reported once no worker holds this burst's buffers (the kernel's
-  // executing-drain), so abandoning on them is safe.
-  if (RingWaitInterruptible(kernel, self, ring, ticket.value()) != Status::kOk) {
-    kernel->sys_ring_reap(self, ring, 0);  // free capacity; frames drop
-    return -1;  // halted / ring destroyed: caller falls back
-  }
-  Result<std::vector<RingCompletion>> done = kernel->sys_ring_reap(self, ring, 0);
-  if (!done.ok()) {
-    return -1;
-  }
-  // Pair completions by SEQ, never by position: an earlier abandoned
-  // burst's late-published completions can sit at the front of the CQ, and
-  // positional pairing would apply their lengths to staging slots the new
-  // burst has since overwritten. Seqs outside this burst's range are
-  // discarded outright.
-  int frames = 0;
-  const uint64_t nops = 2 * uint64_t{burst};
-  const uint64_t first = ticket.value() - nops + 1;
-  std::vector<const SyscallRes*> by_op(nops, nullptr);
-  for (const RingCompletion& c : done.value()) {
-    if (c.seq >= first && c.seq - first < nops) {
-      by_op[static_cast<size_t>(c.seq - first)] = &c.res;
-    }
-  }
-  for (uint32_t slot = 0; slot < burst; ++slot) {
-    const SyscallRes* rres = by_op[2 * slot];
-    const SyscallRes* dres = by_op[2 * slot + 1];
-    if (rres == nullptr || dres == nullptr) {
-      continue;
-    }
-    const NetReceiveRes* rcv = std::get_if<NetReceiveRes>(rres);
-    if (rcv == nullptr || rcv->status != Status::kOk) {
-      continue;  // kAgain (empty NIC) — the linked read completed kCancelled
-    }
-    if (ResStatus(*dres) != Status::kOk || rcv->len > kNetFrameMax) {
-      continue;
-    }
-    const uint8_t* base = scratch->data() + uint64_t{slot} * kNetFrameMax;
-    fn(std::vector<uint8_t>(base, base + rcv->len));
-    ++frames;
-  }
-  return frames;
-}
 
 Mutex NetDaemon::registry_mu_;
 std::map<uint64_t, NetDaemon*> NetDaemon::registry_;
@@ -246,9 +182,25 @@ std::unique_ptr<NetDaemon> NetDaemon::Start(UnixWorld* world, SimNetPort* port,
   d->ids_ = ids.value();
   d->pump_thread_ = d->ids_.thread;
 
-  // Device frame staging, labeled like the device: receive-burst slots for
-  // the pump's ring submissions, transmit-burst slots, and the control slot
-  // (layout in netd.h).
+  // The transmit thread: a second netd thread with the pump's label and
+  // clearance, so it holds exactly netd's privileges.
+  Result<Label> plabel = k->sys_self_get_label(d->pump_thread_);
+  Result<Label> pclear = k->sys_self_get_clearance(d->pump_thread_);
+  if (!plabel.ok() || !pclear.ok()) {
+    return nullptr;
+  }
+  CreateSpec tspec;
+  tspec.container = d->ids_.proc_ct;
+  tspec.descrip = (name + "-tx").substr(0, kDescripLen);
+  tspec.quota = 64 * kPageSize;
+  Result<ObjectId> tx =
+      k->sys_thread_create(d->pump_thread_, tspec, plabel.value(), pclear.value());
+  if (!tx.ok()) {
+    return nullptr;
+  }
+  d->tx_thread_ = tx.value();
+
+  // Device frame staging, labeled like the device (layout in netd.h).
   CreateSpec rspec;
   rspec.container = d->ids_.proc_ct;
   rspec.label = dev_label;
@@ -260,20 +212,17 @@ std::unique_ptr<NetDaemon> NetDaemon::Start(UnixWorld* world, SimNetPort* port,
   }
   d->rxbuf_seg_ = rxbuf.value();
 
-  // The netd submission ring ({i2,1}, like the socket segments): the pump
-  // and the mu_-held control path push NIC bursts through it so the
-  // device's unlocked phases run on kernel workers. Creation failing is not
-  // fatal — every ring user falls back to the per-call path.
-  CreateSpec qspec;
-  qspec.container = d->ids_.proc_ct;
-  qspec.label = Label(Level::k1, {{d->taint_.i, Level::k2}});
-  qspec.descrip = "netd-rx-ring";
-  qspec.quota = 16 * kPageSize;
-  Result<ObjectId> rx_ring = k->sys_ring_create(boot, qspec, 4 * kNetRxBurst);
-  d->ring_ = rx_ring.ok() ? rx_ring.value() : kInvalidObject;
-  qspec.descrip = "netd-tx-ring";
-  Result<ObjectId> tx_ring = k->sys_ring_create(boot, qspec, 4 * kNetTxBurst);
-  d->ring_tx_ = tx_ring.ok() ? tx_ring.value() : kInvalidObject;
+  // The transmit doorbell, labeled like the socket segments.
+  CreateSpec bspec;
+  bspec.container = d->ids_.proc_ct;
+  bspec.label = Label(Level::k1, {{d->taint_.i, Level::k2}});
+  bspec.descrip = "doorbell";
+  bspec.quota = kObjectOverheadBytes + kPageSize;
+  Result<ObjectId> bell = k->sys_segment_create(boot, bspec, 8);
+  if (!bell.ok()) {
+    return nullptr;
+  }
+  d->doorbell_seg_ = bell.value();
 
   // Control gate.
   {
@@ -300,10 +249,12 @@ std::unique_ptr<NetDaemon> NetDaemon::Start(UnixWorld* world, SimNetPort* port,
   }
   d->ctl_gate_ = gate.value();
 
-  // Start the pump on the process's thread.
+  // Start the pump on the process's thread and the transmit loop on its
+  // second thread.
   d->running_.store(true);
   NetDaemon* raw = d.get();
   d->pump_host_ = RunOnHostThread(k, d->ids_.thread, [raw]() { raw->PumpLoop(); });
+  d->tx_host_ = RunOnHostThread(k, d->tx_thread_, [raw]() { raw->TxLoop(); });
   return d;
 }
 
@@ -317,6 +268,10 @@ void NetDaemon::Stop() {
   running_.store(false);
   if (pump_host_.joinable()) {
     pump_host_.join();
+  }
+  if (tx_host_.joinable()) {
+    RingDoorbell(tx_thread_);  // the loop re-checks running_ on wake
+    tx_host_.join();
   }
 }
 
@@ -339,6 +294,8 @@ Result<uint64_t> NetDaemon::MakeSocketWithSegment() {
   s->seg = seg.value();
   uint64_t id = next_sock_++;
   sockets_[id] = std::move(s);
+  MutexLock lock(&seg_mu_);
+  socket_segs_[id] = seg.value();
   return id;
 }
 
@@ -485,12 +442,12 @@ Status NetDaemon::CloseSocket(ObjectId self, uint64_t sock) {
 }
 
 Result<ContainerEntry> NetDaemon::SocketSegment(uint64_t sock) {
-  MutexLock lock(&mu_);
-  auto it = sockets_.find(sock);
-  if (it == sockets_.end()) {
+  MutexLock lock(&seg_mu_);
+  auto it = socket_segs_.find(sock);
+  if (it == socket_segs_.end()) {
     return Status::kNotFound;
   }
-  return ContainerEntry{ids_.proc_ct, it->second->seg};
+  return ContainerEntry{ids_.proc_ct, it->second};
 }
 
 // ---- fast path (shared segment rings) ----------------------------------------------
@@ -525,7 +482,7 @@ Result<uint64_t> NetDaemon::Send(ObjectId self, uint64_t sock, const void* buf, 
       WriteWord(kernel_, self, seg.value(), kOffTxW, txw + n);
       sent += n;
       mu.Unlock(self);
-      kernel_->sys_futex_wake(self, seg.value(), kOffTxW, UINT32_MAX);
+      RingDoorbell(self);
       continue;
     }
     uint64_t seen = txr;
@@ -603,88 +560,22 @@ std::vector<uint8_t> NetDaemon::BuildFrame(const MacAddr& dst, uint8_t type, uin
 
 bool NetDaemon::SendFrame(const MacAddr& dst, uint8_t type, uint16_t sport, uint16_t dport,
                           const uint8_t* data, uint16_t len) {
-  // Compose the frame in the staging segment's control slot (mu_-held
-  // callers only — never a slot a ring burst could be filling), transmit.
+  // Compose the frame in the staging segment's transmit slot (mu_ holders
+  // only; the pump receives into its own slot without mu_), transmit.
   ObjectId self = CurrentThread::Get();
   std::vector<uint8_t> frame = BuildFrame(dst, type, sport, dport, data, len);
   ContainerEntry rx{ids_.proc_ct, rxbuf_seg_};
-  Status st = kernel_->sys_segment_write(self, rx, frame.data(), kCtlSlot, frame.size());
+  Status st = kernel_->sys_segment_write(self, rx, frame.data(), kTxSlot, frame.size());
   if (st != Status::kOk) {
     return false;
   }
   st = kernel_->sys_net_transmit(self, ContainerEntry{kernel_->root_container(), device_}, rx,
-                                 kCtlSlot, frame.size());
+                                 kTxSlot, frame.size());
   if (st == Status::kOk) {
     frames_sent_.fetch_add(1);
     return true;
   }
   return false;
-}
-
-uint64_t NetDaemon::RingSendBurst(ObjectId self, Socket* s, uint64_t txr, uint64_t txw,
-                                  ContainerEntry seg) {
-  // Gather up to kNetTxBurst MSS-sized data frames out of the socket's tx
-  // ring, then push them through the submission ring as ONE chain of
-  // [stage-write →link→ net_transmit] pairs, every op linked to the next:
-  // the first failed transmit (NIC ring full) cancels all later frames, so
-  // bytes leave the wire strictly in stream order — the same stop-at-first-
-  // failure the per-call loop had, minus 2×frames synchronous syscalls.
-  ContainerEntry rx{ids_.proc_ct, rxbuf_seg_};
-  ContainerEntry dev{kernel_->root_container(), device_};
-  std::vector<std::vector<uint8_t>> frames;  // stable until reaped
-  std::vector<uint64_t> payload(kNetTxBurst, 0);
-  uint64_t cursor = txr;
-  while (cursor < txw && frames.size() < kNetTxBurst) {
-    uint16_t n = static_cast<uint16_t>(std::min<uint64_t>(txw - cursor, kMss));
-    uint8_t chunk[kMss];
-    if (RingGet(kernel_, self, seg, kOffTxData, cursor, chunk, n) != Status::kOk) {
-      break;
-    }
-    payload[frames.size()] = n;
-    frames.push_back(BuildFrame(s->peer, kMsgData, s->local_port, s->peer_port, chunk, n));
-    cursor += n;
-  }
-  if (frames.empty()) {
-    return 0;
-  }
-  std::vector<RingOp> ops;
-  ops.reserve(2 * frames.size());
-  for (size_t i = 0; i < frames.size(); ++i) {
-    uint64_t off = kTxSlot0 + i * kNetFrameMax;
-    ops.push_back(RingOp{
-        SyscallReq{SegmentWriteReq{rx, frames[i].data(), off, frames[i].size()}},
-        kRingLinked});
-    uint32_t link = i + 1 < frames.size() ? kRingLinked : 0;
-    ops.push_back(
-        RingOp{SyscallReq{NetTransmitReq{dev, rx, off, frames[i].size()}}, link});
-  }
-  ContainerEntry ringe{ids_.proc_ct, ring_tx_};
-  Result<uint64_t> ticket = kernel_->sys_ring_submit(self, ringe, std::move(ops));
-  if (!ticket.ok()) {
-    return 0;  // ring busy/unusable: caller's sync path takes over
-  }
-  // Terminal wait statuses (halted, destroyed) arrive only after the worker
-  // released our frame buffers, so reaping-and-counting below is safe
-  // either way: whatever completions survived tell us exactly which prefix
-  // reached the wire (a dead ring's dropped completions count as zero, and
-  // the halted caller's sync fallback fails its own syscalls anyway).
-  RingWaitInterruptible(kernel_, self, ringe, ticket.value());
-  Result<std::vector<RingCompletion>> done = kernel_->sys_ring_reap(self, ringe, 0);
-  if (!done.ok()) {
-    return 0;
-  }
-  // Count the prefix of fully-successful [write, transmit] pairs; the chain
-  // guarantees nothing after the first failure reached the wire.
-  uint64_t sent_bytes = 0;
-  const std::vector<RingCompletion>& cs = done.value();
-  for (size_t i = 0; i + 1 < cs.size(); i += 2) {
-    if (ResStatus(cs[i].res) != Status::kOk || ResStatus(cs[i + 1].res) != Status::kOk) {
-      break;
-    }
-    frames_sent_.fetch_add(1);
-    sent_bytes += payload[i / 2];
-  }
-  return sent_bytes;
 }
 
 void NetDaemon::HandleFrame(const std::vector<uint8_t>& frame) {
@@ -745,7 +636,7 @@ void NetDaemon::HandleFrame(const std::vector<uint8_t>& frame) {
         if (s->local_port == dport && s->peer_port == sport) {
           if (!s->rx_staging.empty()) {
             // Data is still queued behind this FIN; surfacing EOF now would
-            // make the receiver drop it. DrainTx raises the flag once the
+            // make the receiver drop it. DeliverRx raises the flag once the
             // staging queue empties into the rx ring.
             s->fin_pending = true;
             return;
@@ -765,41 +656,51 @@ void NetDaemon::HandleFrame(const std::vector<uint8_t>& frame) {
   }
 }
 
-void NetDaemon::DrainTx(Socket* s) {
-  // Move bytes tx-ring → wire and staging → rx-ring. Called with mu_ held.
+bool NetDaemon::DrainTx(Socket* s) {
+  // Move bytes tx-ring → wire. Called with mu_ held. One segment read
+  // fetches a burst of frames' payload, and TxR is published once per
+  // burst; frames are cut at kMss exactly as a frame-at-a-time loop would.
+  if (s->state != Socket::State::kEstablished) {
+    return false;
+  }
   ObjectId self = CurrentThread::Get();
   ContainerEntry seg{ids_.proc_ct, s->seg};
-  if (s->state == Socket::State::kEstablished) {
-    uint64_t txr = ReadWord(kernel_, self, seg, kOffTxR);
-    uint64_t txw = ReadWord(kernel_, self, seg, kOffTxW);
-    // Ring path first: whole bursts of [stage →link→ transmit] pairs as one
-    // submission (the split submit/complete shape — the NIC's unlocked
-    // transmit phases run on a kernel worker). Falls through to the
-    // per-frame path when the ring is unavailable or a caller's labels
-    // cannot touch it (gate callers carrying extra taint).
-    while (ring_tx_ != kInvalidObject && txr < txw) {
-      uint64_t sent = RingSendBurst(self, s, txr, txw, seg);
-      if (sent == 0) {
-        break;
-      }
-      txr += sent;
-      WriteWord(kernel_, self, seg, kOffTxR, txr);
-      kernel_->sys_futex_wake(self, seg, kOffTxR, UINT32_MAX);
+  uint64_t txr = ReadWord(kernel_, self, seg, kOffTxR);
+  uint64_t txw = ReadWord(kernel_, self, seg, kOffTxW);
+  std::vector<uint8_t> burst;
+  bool sent = false;
+  while (txr < txw) {
+    uint64_t len = std::min<uint64_t>(txw - txr, kTxBurstFrames * kMss);
+    burst.resize(len);
+    if (RingGet(kernel_, self, seg, kOffTxData, txr, burst.data(), len) != Status::kOk) {
+      break;
     }
-    while (txr < txw) {
-      uint16_t n = static_cast<uint16_t>(std::min<uint64_t>(txw - txr, kMss));
-      uint8_t chunk[kMss];
-      if (RingGet(kernel_, self, seg, kOffTxData, txr, chunk, n) != Status::kOk) {
+    uint64_t done = 0;
+    while (done < len) {
+      uint16_t n = static_cast<uint16_t>(std::min<uint64_t>(len - done, kMss));
+      if (!SendFrame(s->peer, kMsgData, s->local_port, s->peer_port, burst.data() + done, n)) {
         break;
       }
-      if (!SendFrame(s->peer, kMsgData, s->local_port, s->peer_port, chunk, n)) {
-        break;
-      }
-      txr += n;
-      WriteWord(kernel_, self, seg, kOffTxR, txr);
-      kernel_->sys_futex_wake(self, seg, kOffTxR, UINT32_MAX);
+      done += n;
+    }
+    if (done == 0) {
+      break;
+    }
+    sent = true;
+    txr += done;
+    WriteWord(kernel_, self, seg, kOffTxR, txr);
+    kernel_->sys_futex_wake(self, seg, kOffTxR, UINT32_MAX);
+    if (done < len) {
+      break;
     }
   }
+  return sent;
+}
+
+void NetDaemon::DeliverRx(Socket* s) {
+  // Move bytes staging → rx-ring. Called with mu_ held.
+  ObjectId self = CurrentThread::Get();
+  ContainerEntry seg{ids_.proc_ct, s->seg};
   if (!s->rx_staging.empty()) {
     uint64_t rxr = ReadWord(kernel_, self, seg, kOffRxR);
     uint64_t rxw = ReadWord(kernel_, self, seg, kOffRxW);
@@ -826,62 +727,66 @@ void NetDaemon::DrainTx(Socket* s) {
   }
 }
 
+void NetDaemon::RingDoorbell(ObjectId self) {
+  // Callers publish their bytes first. Ringers only ever store 1, so any
+  // number of them may race without a read-modify-write.
+  ContainerEntry bell{ids_.proc_ct, doorbell_seg_};
+  WriteWord(kernel_, self, bell, 0, 1);
+  kernel_->sys_futex_wake(self, bell, 0, UINT32_MAX);
+}
+
 void NetDaemon::PumpLoop() {
   ObjectId self = ids_.thread;
   ContainerEntry dev{kernel_->root_container(), device_};
   ContainerEntry rx{ids_.proc_ct, rxbuf_seg_};
-  ContainerEntry rx_ring{ids_.proc_ct, ring_};
-  std::vector<uint8_t> scratch(uint64_t{kNetRxBurst} * kNetFrameMax);
   while (running_.load()) {
     bool idle = true;
-    // Drain the NIC — ring path: bursts of receive→read chains submitted as
-    // one unit, the length routed between the linked entries (the PR 3
-    // follow-up this PR closes: sys_net_* finally batches, through the
-    // split submit/complete path).
-    bool ring_ok = ring_ != kInvalidObject;
-    while (ring_ok) {
-      int got = RingDrainNic(kernel_, self, rx_ring, dev, rx, /*slot0_off=*/0, kNetRxBurst,
-                             &scratch, [this](std::vector<uint8_t>&& frame) {
-                               frames_received_.fetch_add(1);
-                               HandleFrame(frame);
-                             });
-      if (got < 0) {
-        ring_ok = false;  // fall back to per-call receives this iteration
-        break;
-      }
-      if (got > 0) {
-        idle = false;
-      }
-      if (got < static_cast<int>(kNetRxBurst)) {
-        break;  // NIC drained
-      }
-    }
-    while (!ring_ok) {
-      Result<uint64_t> n = kernel_->sys_net_receive(self, dev, rx, 0, kNetFrameMax);
+    for (;;) {
+      Result<uint64_t> n = kernel_->sys_net_receive(self, dev, rx, kRxSlot, kNetFrameMax);
       if (!n.ok()) {
         break;
       }
       std::vector<uint8_t> frame(n.value());
-      if (kernel_->sys_segment_read(self, rx, frame.data(), 0, n.value()) != Status::kOk) {
+      if (kernel_->sys_segment_read(self, rx, frame.data(), kRxSlot, n.value()) !=
+          Status::kOk) {
         break;
       }
       frames_received_.fetch_add(1);
       HandleFrame(frame);
       idle = false;
     }
-    // Service every socket.
     {
       MutexLock lock(&mu_);
       for (auto& [id, s] : sockets_) {
-        uint64_t before = frames_sent_.load();
-        DrainTx(s.get());
-        if (frames_sent_.load() != before || !s->rx_staging.empty()) {
+        DeliverRx(s.get());
+        if (!s->rx_staging.empty()) {
           idle = false;
         }
       }
     }
     if (idle) {
       kernel_->sys_net_wait(self, dev, 5);
+    }
+  }
+}
+
+void NetDaemon::TxLoop() {
+  ObjectId self = tx_thread_;
+  ContainerEntry bell{ids_.proc_ct, doorbell_seg_};
+  while (running_.load()) {
+    // Clear the doorbell BEFORE scanning. A sender that published after
+    // the clear sets it again, so the wait below returns at once; one that
+    // published before it is seen by the scan. No wake-up is lost.
+    WriteWord(kernel_, self, bell, 0, 0);
+    bool sent = false;
+    {
+      MutexLock lock(&mu_);
+      for (auto& [id, s] : sockets_) {
+        sent |= DrainTx(s.get());
+      }
+    }
+    if (!sent) {
+      kernel_->sys_futex_wait(self, bell, 0, /*expected=*/0, kTxWaitMs);
     }
   }
 }

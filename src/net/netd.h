@@ -35,28 +35,9 @@ namespace histar {
 // Stream protocol message types (frame proto 0x0800).
 inline constexpr uint16_t kProtoStream = 0x0800;
 
-// Frame staging geometry shared by the ring-backed NIC paths (PR 5): the
-// staging segment is carved into kNetFrameMax-byte slots so a burst of
-// receives (and a burst of transmits) each own private bytes — no frame can
-// clobber another while a submission is in flight on a kernel worker.
+// Size of one frame staging slot (netd's device staging segment, vpnd's tun
+// staging segment): every frame the stream protocol builds fits.
 inline constexpr uint64_t kNetFrameMax = 2048;
-inline constexpr uint32_t kNetRxBurst = 4;
-inline constexpr uint32_t kNetTxBurst = 8;
-
-// Ring-backed NIC drain, shared by netd's pump and vpnd's tunnel loop: ONE
-// ring submission of `burst` receive→read chains against `dev`, each chain
-// [net_receive into staging slot i] →link→ [segment_read slot i, the LENGTH
-// ROUTED from NetReceiveRes.len] — the split submit/complete path that
-// finally lets the NIC's unlocked poll phases run off the calling thread.
-// Staging slots start at `slot0_off` within `staging`; `scratch` must hold
-// burst * kNetFrameMax bytes and stay untouched until the call returns.
-// Invokes fn(frame) for every frame received (in order). Returns the frame
-// count, or -1 when the ring path is unusable (submission refused — the
-// caller falls back to per-call sys_net_receive).
-int RingDrainNic(Kernel* kernel, ObjectId self, ContainerEntry ring, ContainerEntry dev,
-                 ContainerEntry staging, uint64_t slot0_off, uint32_t burst,
-                 std::vector<uint8_t>* scratch,
-                 const std::function<void(std::vector<uint8_t>&&)>& fn);
 
 struct NetTaint {
   CategoryId nr = kInvalidCategory;  // device read capability
@@ -104,13 +85,11 @@ class NetDaemon {
   // joined into its own label).
   Label ClientTaint() const { return Label(Level::k1, {{taint_.i, Level::k2}}); }
 
-  // Stops the pump thread (tests; destructor also does this).
+  // Stops the pump and transmit threads (tests; destructor also does this).
   void Stop();
 
   uint64_t frames_sent() const { return frames_sent_.load(); }
   uint64_t frames_received() const { return frames_received_.load(); }
-  // True when the pump drives the NIC through the async ring (PR 5).
-  bool ring_enabled() const { return ring_ != kInvalidObject; }
 
  private:
   NetDaemon() = default;
@@ -121,21 +100,24 @@ class NetDaemon {
   friend void NetdCtlEntry(GateCall& call);
   uint64_t CtlOp(ObjectId self, uint64_t op, uint64_t a, uint64_t b, uint64_t c);
 
-  // The pump: device ⇄ socket rings.
+  // The receive pump: device → socket rx rings. It sleeps on the NIC.
   void PumpLoop();
   void HandleFrame(const std::vector<uint8_t>& frame);
-  void DrainTx(Socket* s) REQUIRES(mu_);
+  // Moves a socket's staged payload into its rx ring, then raises a
+  // deferred FIN once nothing precedes it.
+  void DeliverRx(Socket* s) REQUIRES(mu_);
+  // The transmit loop: socket tx rings → device, on its own netd thread.
+  // It sleeps on the doorbell, which Send rings after publishing bytes, so
+  // queued bytes never wait for a NIC event or a poll timeout.
+  void TxLoop();
+  // Moves a socket's tx ring onto the wire. Returns true if a frame left.
+  bool DrainTx(Socket* s) REQUIRES(mu_);
+  // Sets the doorbell word and wakes the transmit loop.
+  void RingDoorbell(ObjectId self);
   bool SendFrame(const MacAddr& dst, uint8_t type, uint16_t sport, uint16_t dport,
                  const uint8_t* data, uint16_t len) REQUIRES(mu_);
   std::vector<uint8_t> BuildFrame(const MacAddr& dst, uint8_t type, uint16_t sport,
                                   uint16_t dport, const uint8_t* data, uint16_t len) const;
-  // Ring-backed burst of data frames for one socket (called with mu_ held,
-  // like SendFrame): [stage-write →link→ net_transmit] pairs chained into
-  // one submission so a mid-burst transmit failure cancels every later
-  // frame — in-order delivery, exactly like the per-call path stopping at
-  // its first failure. Returns bytes drained from the tx ring.
-  uint64_t RingSendBurst(ObjectId self, Socket* s, uint64_t txr, uint64_t txw,
-                         ContainerEntry seg) REQUIRES(mu_);
 
   Result<Socket*> FindSocket(uint64_t sock) REQUIRES(mu_);
   Result<uint64_t> MakeSocketWithSegment() REQUIRES(mu_);
@@ -148,21 +130,14 @@ class NetDaemon {
   ObjectId device_ = kInvalidObject;
   ProcessIds ids_;
   ObjectId pump_thread_ = kInvalidObject;
+  ObjectId tx_thread_ = kInvalidObject;  // second netd thread: runs TxLoop
   ObjectId ctl_gate_ = kInvalidObject;
-  // Device frame staging, {nr3,nw0,i2,1}. Slot layout (kNetFrameMax each):
-  // [0, kNetRxBurst) receive slots for the pump's ring bursts,
-  // [kNetRxBurst, kNetRxBurst+kNetTxBurst) transmit-burst slots (mu_-held
-  // callers), and one final control slot for synchronous SendFrame
-  // (mu_-held callers) — so a control frame can never clobber a receive
-  // in flight on a kernel worker.
+  // Device frame staging, {nr3,nw0,i2,1}: one receive slot (the pump's)
+  // and one transmit slot (mu_ holders), kNetFrameMax bytes each.
   ObjectId rxbuf_seg_ = kInvalidObject;
-  // The netd submission rings ({i2,1}); kInvalidObject → sync fallback.
-  // Two rings because submit/wait/reap consumers must not share one: the
-  // receive ring belongs to the pump thread alone, the transmit ring to
-  // whoever holds mu_ (DrainTx callers) — a shared ring would let one
-  // consumer's reap scoop up the other's in-flight completions.
-  ObjectId ring_ = kInvalidObject;     // receive bursts (pump thread only)
-  ObjectId ring_tx_ = kInvalidObject;  // transmit bursts (mu_-held callers)
+  // The transmit doorbell: one flag word, labeled {i2,1} like the
+  // socket segments, so every thread that can Send can ring it.
+  ObjectId doorbell_seg_ = kInvalidObject;
 
   // Guards the socket table and every Socket's fields (the per-Socket
   // members cannot carry GUARDED_BY themselves — the analysis cannot name
@@ -171,7 +146,13 @@ class NetDaemon {
   Mutex mu_;
   std::map<uint64_t, std::unique_ptr<Socket>> sockets_ GUARDED_BY(mu_);
   uint64_t next_sock_ GUARDED_BY(mu_) = 1;
+  // Socket id → shared segment, for Send and Recv. A leaf lock of its own
+  // (taken under mu_ only to insert), so the fast path never waits behind
+  // mu_, which the transmit loop holds while it feeds the wire.
+  Mutex seg_mu_;
+  std::map<uint64_t, ObjectId> socket_segs_ GUARDED_BY(seg_mu_);
   std::thread pump_host_;
+  std::thread tx_host_;
   std::atomic<bool> running_{false};
   std::atomic<uint64_t> frames_sent_{0};
   std::atomic<uint64_t> frames_received_{0};

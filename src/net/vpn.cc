@@ -197,30 +197,18 @@ std::unique_ptr<VpnDaemon> VpnDaemon::Start(UnixWorld* world, NetDaemon* inet,
   }
   d->vpnd_ids_ = ids.value();
 
-  // Frame staging buffer for the tun device, labeled like the device —
-  // kNetRxBurst slots so the ring-backed drain can park a whole burst of
-  // receives (slot 0 doubles as the inbound staging slot: the loop is
-  // single-threaded and only writes it after its outbound burst is reaped).
+  // Frame staging buffer for the tun device, labeled like the device. One
+  // slot serves both directions: the loop is single-threaded.
   CreateSpec rspec;
   rspec.container = d->vpnd_ids_.proc_ct;
   rspec.label = tun_label;
   rspec.descrip = "tun-rxbuf";
   rspec.quota = kObjectOverheadBytes + 4 * kPageSize;
-  Result<ObjectId> rxbuf =
-      k->sys_segment_create(boot, rspec, uint64_t{kNetRxBurst} * kNetFrameMax);
+  Result<ObjectId> rxbuf = k->sys_segment_create(boot, rspec, kNetFrameMax);
   if (!rxbuf.ok()) {
     return nullptr;
   }
   d->rxbuf_ = rxbuf.value();
-
-  // The tun submission ring, tainted v like everything read from the tun.
-  CreateSpec qspec;
-  qspec.container = d->vpnd_ids_.proc_ct;
-  qspec.label = Label(Level::k1, {{d->v_, Level::k2}});
-  qspec.descrip = "vpnd-ring";
-  qspec.quota = 16 * kPageSize;
-  Result<ObjectId> ring = k->sys_ring_create(boot, qspec, 4 * kNetRxBurst);
-  d->ring_ = ring.ok() ? ring.value() : kInvalidObject;
 
   d->running_.store(true);
   VpnDaemon* raw = d.get();
@@ -254,34 +242,12 @@ void VpnDaemon::ClientLoop() {
   ContainerEntry rx{vpnd_ids_.proc_ct, rxbuf_};
   TunnelDecoder dec(key_);
   std::vector<uint8_t> buf(4096);
-  std::vector<uint8_t> scratch(uint64_t{kNetRxBurst} * kNetFrameMax);
   while (running_.load()) {
     bool idle = true;
     // Outbound: VPN stack → tun → encrypt → Internet. OpenVPN's check that
     // outgoing packets are not i-tainted is structural here: everything
-    // read from the tun device carries v2, never i. The drain rides the
-    // same ring-backed receive→read bursts as netd's pump (PR 5), falling
-    // back to per-call receives if the ring is unusable.
-    auto outbound = [&](std::vector<uint8_t>&& frame) {
-      std::vector<uint8_t> rec;
-      TunnelEncode(key_, frame, &rec);
-      inet_->Send(self, inet_sock_, rec.data(), rec.size());
-      ++frames_out_;
-      idle = false;
-    };
-    bool ring_ok = ring_ != kInvalidObject;
-    while (ring_ok) {
-      int got = RingDrainNic(k, self, ContainerEntry{vpnd_ids_.proc_ct, ring_}, tun_dev, rx,
-                             /*slot0_off=*/0, kNetRxBurst, &scratch, outbound);
-      if (got < 0) {
-        ring_ok = false;
-        break;
-      }
-      if (got < static_cast<int>(kNetRxBurst)) {
-        break;  // tun drained
-      }
-    }
-    while (!ring_ok) {
+    // read from the tun device carries v2, never i.
+    for (;;) {
       Result<uint64_t> n = k->sys_net_receive(self, tun_dev, rx, 0, kNetFrameMax);
       if (!n.ok()) {
         break;
@@ -290,7 +256,11 @@ void VpnDaemon::ClientLoop() {
       if (k->sys_segment_read(self, rx, frame.data(), 0, n.value()) != Status::kOk) {
         break;
       }
-      outbound(std::move(frame));
+      std::vector<uint8_t> rec;
+      TunnelEncode(key_, frame, &rec);
+      inet_->Send(self, inet_sock_, rec.data(), rec.size());
+      ++frames_out_;
+      idle = false;
     }
     // Inbound: Internet → decrypt → tun → VPN stack (arrives v2-tainted via
     // the vpn stack's device label).

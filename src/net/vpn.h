@@ -87,9 +87,6 @@ class VpnDaemon {
   ObjectId tun_client_dev_ = kInvalidObject;
   ProcessIds vpnd_ids_;                    // the trusted-ish vpnd process
   ObjectId rxbuf_ = kInvalidObject;
-  // Submission ring for the tun RX bursts ({v2,1}); kInvalidObject → the
-  // loop stays on per-call receives (same fallback contract as netd).
-  ObjectId ring_ = kInvalidObject;
   uint64_t inet_sock_ = 0;
 
   std::thread client_host_;

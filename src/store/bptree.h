@@ -8,15 +8,13 @@
 // the implementation; we keep that property — Key and Value are PODs with a
 // total order on Key.
 //
-// Leaves are linked for range scans. Nodes are heap-allocated; the tree
-// serializes itself to a flat byte image for checkpointing, which stands in
-// for the on-disk node layout.
+// Leaves are linked for range scans. Nodes are heap-allocated; the free
+// lists are rebuilt from the live extents at recovery, so the tree has no
+// on-disk image of its own.
 #ifndef SRC_STORE_BPTREE_H_
 #define SRC_STORE_BPTREE_H_
 
 #include <cstdint>
-#include <cstring>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -77,7 +75,7 @@ class BPlusTree {
 
   // Removes k; returns false if absent. (No rebalancing on delete — nodes
   // may underfill, which is acceptable for the store's workloads and keeps
-  // deletion simple; the tree is rebuilt compactly at every checkpoint.)
+  // deletion simple.)
   bool Erase(const Key& k) {
     bool erased = EraseRec(root_.get(), k);
     if (erased) {
@@ -85,19 +83,6 @@ class BPlusTree {
       CollapseRoot();
     }
     return erased;
-  }
-
-  std::optional<Value> Find(const Key& k) const {
-    const Node* n = root_.get();
-    while (!n->is_leaf) {
-      n = n->children[ChildIndex(n, k)].get();
-    }
-    for (size_t i = 0; i < n->keys.size(); ++i) {
-      if (n->keys[i] == k) {
-        return n->values[i];
-      }
-    }
-    return std::nullopt;
   }
 
   // First entry with key ≥ k (the allocator's best-fit probe).
@@ -143,75 +128,9 @@ class BPlusTree {
     return LastLessSlow(k);
   }
 
-  void ForEach(const std::function<void(const Key&, const Value&)>& fn) const {
-    const Node* n = root_.get();
-    while (!n->is_leaf) {
-      n = n->children[0].get();
-    }
-    while (n != nullptr) {
-      for (size_t i = 0; i < n->keys.size(); ++i) {
-        fn(n->keys[i], n->values[i]);
-      }
-      n = n->next_leaf;
-    }
-  }
-
   void Clear() {
     root_ = NewLeaf();
     size_ = 0;
-  }
-
-  // Depth of the tree (diagnostics; 1 = just a leaf).
-  int Height() const {
-    int h = 1;
-    const Node* n = root_.get();
-    while (!n->is_leaf) {
-      ++h;
-      n = n->children[0].get();
-    }
-    return h;
-  }
-
-  // Flat serialization: [count][key value]... (keys ascending). Rebuilding
-  // by bulk insertion yields a compact tree.
-  void Serialize(std::vector<uint8_t>* out) const {
-    uint64_t count = size_;
-    const uint8_t* p = reinterpret_cast<const uint8_t*>(&count);
-    out->insert(out->end(), p, p + 8);
-    ForEach([out](const Key& k, const Value& v) {
-      const uint8_t* kp = reinterpret_cast<const uint8_t*>(&k);
-      out->insert(out->end(), kp, kp + sizeof(Key));
-      const uint8_t* vp = reinterpret_cast<const uint8_t*>(&v);
-      out->insert(out->end(), vp, vp + sizeof(Value));
-    });
-  }
-
-  bool Deserialize(const uint8_t* data, size_t len, size_t* consumed) {
-    StoreAlloc::Check();
-    if (len < 8) {
-      return false;
-    }
-    uint64_t count;
-    memcpy(&count, data, 8);
-    size_t need = 8 + count * (sizeof(Key) + sizeof(Value));
-    if (len < need) {
-      return false;
-    }
-    Clear();
-    size_t pos = 8;
-    for (uint64_t i = 0; i < count; ++i) {
-      Key k;
-      Value v;
-      memcpy(&k, data + pos, sizeof(Key));
-      pos += sizeof(Key);
-      memcpy(&v, data + pos, sizeof(Value));
-      pos += sizeof(Value);
-      Insert(k, v);
-    }
-    if (consumed != nullptr) {
-      *consumed = need;
-    }
-    return true;
   }
 
  private:

@@ -1,7 +1,5 @@
 #include "src/unixlib/fs.h"
 
-#include "src/kernel/ring.h"
-
 #include <algorithm>
 #include <cstring>
 
@@ -211,116 +209,8 @@ namespace {
 constexpr uint64_t kDirScanBatch = 16;
 }  // namespace
 
-Status FileSystem::EnableAsyncScans(ObjectId self, ObjectId container) {
-  if (scan_ring_.ring != kInvalidObject) {
-    return Status::kOk;  // idempotent: re-enabling must not strand the old ring
-  }
-  CreateSpec spec;
-  spec.container = container;
-  spec.label = Label();
-  spec.descrip = "fs-scan-ring";
-  spec.quota = 16 * kPageSize;
-  // Two windows may be in flight at once (the double buffer), so capacity
-  // must cover 2 * kDirScanBatch unreaped ops; leave headroom.
-  Result<ObjectId> r = kernel_->sys_ring_create(self, spec, 4 * kDirScanBatch);
-  if (!r.ok()) {
-    return r.status();
-  }
-  scan_ring_.ring = r.value();
-  scan_ring_.ct = container;
-  return Status::kOk;
-}
-
 template <typename Fn>
 Status FileSystem::ScanDirRecords(ObjectId self, ContainerEntry seg, uint64_t n, Fn&& fn) {
-  // Ring-backed pipelined mode (PR 5): double-buffered windows — window
-  // w+1's record reads are SUBMITTED before window w's completions are
-  // harvested, so a kernel worker reads records while this thread parses
-  // the previous window. Per-ring FIFO ordering plus reap(max=window size)
-  // keeps each harvest scoped to its own window's completions.
-  if (scan_ring_.ring != kInvalidObject && n > 0) {
-    ContainerEntry ring{scan_ring_.ct, scan_ring_.ring};
-    DirEntry entries[2][kDirScanBatch];
-    uint64_t tickets[2] = {0, 0};
-    auto submit = [&](uint64_t base, uint64_t cnt, int slot) -> Status {
-      std::vector<RingOp> ops;
-      ops.reserve(cnt);
-      for (uint64_t i = 0; i < cnt; ++i) {
-        ops.push_back(RingOp{SyscallReq{
-            SegmentReadReq{seg, &entries[slot][i],
-                           sizeof(DirHeader) + (base + i) * sizeof(DirEntry),
-                           sizeof(DirEntry)}}});
-      }
-      Result<uint64_t> t = kernel_->sys_ring_submit(self, ring, std::move(ops));
-      if (!t.ok()) {
-        return t.status();
-      }
-      tickets[slot] = t.value();
-      return Status::kOk;
-    };
-    auto harvest = [&](uint64_t cnt, int slot, bool check) -> Status {
-      // kHalted/kNotFound arrive only after no worker holds this window's
-      // entry buffers (the kernel's executing-drain), so propagating them —
-      // and popping this stack frame — is safe.
-      Status ws = RingWaitInterruptible(kernel_, self, ring, tickets[slot]);
-      if (ws != Status::kOk) {
-        kernel_->sys_ring_reap(self, ring, static_cast<uint32_t>(cnt));  // free capacity
-        return ws;
-      }
-      Result<std::vector<RingCompletion>> done =
-          kernel_->sys_ring_reap(self, ring, static_cast<uint32_t>(cnt));
-      if (!done.ok()) {
-        return done.status();
-      }
-      if (!check) {
-        return Status::kOk;  // drain-only (early stop): completions dropped
-      }
-      if (done.value().size() != cnt) {
-        return Status::kInvalidArg;
-      }
-      for (const RingCompletion& c : done.value()) {
-        Status st = ResStatus(c.res);
-        if (st != Status::kOk) {
-          return st;
-        }
-      }
-      return Status::kOk;
-    };
-    const uint64_t nwin = (n + kDirScanBatch - 1) / kDirScanBatch;
-    auto win_cnt = [&](uint64_t w) { return std::min(kDirScanBatch, n - w * kDirScanBatch); };
-    // First window: if the ring refuses it (label-incompatible caller,
-    // capacity), nothing is in flight yet — drop to the sync path below.
-    if (submit(0, win_cnt(0), 0) == Status::kOk) {
-      for (uint64_t w = 0; w < nwin; ++w) {
-        int slot = static_cast<int>(w & 1);
-        bool next_inflight = false;
-        if (w + 1 < nwin) {
-          Status st = submit((w + 1) * kDirScanBatch, win_cnt(w + 1), 1 - slot);
-          if (st != Status::kOk) {
-            harvest(win_cnt(w), slot, /*check=*/false);
-            return st;
-          }
-          next_inflight = true;
-        }
-        Status st = harvest(win_cnt(w), slot, /*check=*/true);
-        if (st != Status::kOk) {
-          if (next_inflight) {
-            harvest(win_cnt(w + 1), 1 - slot, /*check=*/false);
-          }
-          return st;
-        }
-        for (uint64_t i = 0; i < win_cnt(w); ++i) {
-          if (!fn(w * kDirScanBatch + i, entries[slot][i])) {
-            if (next_inflight) {
-              harvest(win_cnt(w + 1), 1 - slot, /*check=*/false);
-            }
-            return Status::kOk;
-          }
-        }
-      }
-      return Status::kOk;
-    }
-  }
   DirEntry entries[kDirScanBatch];
   SyscallReq reqs[kDirScanBatch];
   SyscallRes res[kDirScanBatch];

@@ -116,18 +116,6 @@ class FileSystem {
 
   MountTable& mounts() { return mounts_; }
 
-  // Opt-in ring-backed async mode for directory scans (PR 5): creates a
-  // submission ring (label {1}) in `container` and switches ScanDirRecords
-  // to a double-buffered pipeline — window w's record reads execute on a
-  // kernel worker while this thread parses window w-1's entries. The ring
-  // is single-consumer: one FileSystem instance, used from one thread at a
-  // time (the per-process usage pattern); copies of this FileSystem start
-  // with async scans DISABLED for exactly that reason. Scans fall back to
-  // the synchronous batched path whenever the ring refuses a submission
-  // (e.g. a tainted caller that cannot modify the {1} ring).
-  Status EnableAsyncScans(ObjectId self, ObjectId container);
-  bool async_scans_enabled() const { return scan_ring_.ring != kInvalidObject; }
-
   // Updates the mtime stamp in the file's metadata. Public so tests can
   // verify the no-atime design decision (§9: HiStar keeps mtime, not atime).
   Status TouchMtime(ObjectId self, ObjectId dir, ObjectId file, uint64_t mtime);
@@ -167,25 +155,8 @@ class FileSystem {
   Status WriteEntry(ObjectId self, ContainerEntry seg, uint64_t slot, const DirEntry& e);
   Status BumpGeneration(ObjectId self, ContainerEntry seg, int64_t busy_delta);
 
-  // Handle of the async-scan ring. Deliberately NOT propagated by copy: a
-  // ring's wait/reap pair belongs to one consumer, and a forked process
-  // copying its parent's FileSystem (mount table and all) must not start
-  // reaping the parent's completions — copies begin with async scans off.
-  struct ScanRing {
-    ObjectId ring = kInvalidObject;
-    ObjectId ct = kInvalidObject;
-    ScanRing() = default;
-    ScanRing(const ScanRing&) {}
-    ScanRing& operator=(const ScanRing&) {
-      ring = kInvalidObject;
-      ct = kInvalidObject;
-      return *this;
-    }
-  };
-
   Kernel* kernel_;
   MountTable mounts_;
-  ScanRing scan_ring_;
 };
 
 }  // namespace histar

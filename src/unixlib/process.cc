@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "src/core/label_memo.h"
-#include "src/kernel/ring.h"
 #include "src/kernel/thread_runner.h"
 #include "src/unixlib/mutex.h"
 
@@ -396,73 +395,6 @@ Result<uint64_t> FdTable::Seek(ObjectId self, int fd, uint64_t pos) {
   return pos;
 }
 
-Status FdTable::EnableRingTransfers(ObjectId self) {
-  if (ring_ != kInvalidObject) {
-    return Status::kOk;  // idempotent: re-enabling must not strand the old ring
-  }
-  CreateSpec spec;
-  spec.container = ids_.proc_ct;
-  spec.label = seg_label_;
-  spec.descrip = "fd-ring";
-  spec.quota = 16 * kPageSize;
-  Result<ObjectId> r = kernel_->sys_ring_create(self, spec, 16);
-  if (!r.ok()) {
-    return r.status();
-  }
-  ring_ = r.value();
-  return Status::kOk;
-}
-
-bool FdTable::RingChunkLinked(ObjectId self, const SyscallReq* reqs, size_t cnt,
-                              SyscallRes* res) {
-  if (ring_ == kInvalidObject || cnt == 0) {
-    return false;
-  }
-  ContainerEntry ring{ids_.proc_ct, ring_};
-  std::vector<RingOp> ops(cnt);
-  for (size_t i = 0; i < cnt; ++i) {
-    ops[i].req = reqs[i];
-    if (i + 1 < cnt) {
-      ops[i].flags = kRingLinked;  // any failure cancels everything after it
-    }
-  }
-  Result<uint64_t> t = kernel_->sys_ring_submit(self, ring, std::move(ops));
-  if (!t.ok()) {
-    return false;  // never accepted: the SubmitBatch fallback owns the chunk
-  }
-  // Accepted: from here the chain WILL execute — never fall back (the ops
-  // may already have run; re-running them would double-apply the cursor
-  // commit). The ops are all non-blocking, so completion is prompt; alerts
-  // (signals) re-enter via the shared helper and surface after the chunk,
-  // not mid-chunk. Terminal statuses (halted, ring torn down) are reported
-  // by the kernel only once no worker holds this chunk's buffers — the
-  // local PipeHeader the commit op points at — so returning on them is
-  // safe.
-  Status ws = RingWaitInterruptible(kernel_, self, ring, t.value());
-  if (ws != Status::kOk) {
-    for (size_t i = 0; i < cnt; ++i) {
-      MakeRes(reqs[i], ws, &res[i]);  // halted / torn down mid-transfer
-    }
-    return true;
-  }
-  Result<std::vector<RingCompletion>> done =
-      kernel_->sys_ring_reap(self, ring, static_cast<uint32_t>(cnt));
-  if (!done.ok() || done.value().size() != cnt) {
-    for (size_t i = 0; i < cnt; ++i) {
-      MakeRes(reqs[i], Status::kInvalidArg, &res[i]);
-    }
-    return true;
-  }
-  uint64_t first = t.value() - cnt + 1;
-  for (RingCompletion& c : done.value()) {
-    size_t idx = static_cast<size_t>(c.seq - first);
-    if (idx < cnt) {
-      res[idx] = std::move(c.res);
-    }
-  }
-  return true;
-}
-
 Result<uint64_t> FdTable::PipeRead(ObjectId self, const FdSegState& st, void* out,
                                    uint64_t len, uint32_t timeout_ms) {
   ContainerEntry buf{st.buf_ct, st.obj};
@@ -504,32 +436,23 @@ Result<uint64_t> FdTable::PipeRead(ObjectId self, const FdSegState& st, void* ou
       // snapshotted header back would clobber a locked-with-waiters mark
       // and cost the waiter its full wait slice.
       reqs[cnt++] = SegmentWriteReq{buf, &h.rpos, kPipeRposOffset, 8};
-      // Ring mode: the chunk goes out as ONE linked chain — a failed data
-      // read CANCELS the rpos commit, so there is nothing to roll back.
-      // Sync mode: one batch, with the compensating rollback below.
-      const bool via_ring = RingChunkLinked(self, reqs, cnt, res);
-      if (!via_ring) {
-        kernel_->SubmitBatch(self, std::span<const SyscallReq>(reqs, cnt),
-                             std::span<SyscallRes>(res, cnt));
-      }
+      kernel_->SubmitBatch(self, std::span<const SyscallReq>(reqs, cnt),
+                           std::span<SyscallRes>(res, cnt));
       for (size_t i = 0; i < data_reads; ++i) {
         s = std::get<SegmentReadRes>(res[i]).status;
         if (s != Status::kOk) {
           // A data read failed (only possible if someone with modify access
-          // shrank the segment) but the header commit in the same sync
-          // batch may still have advanced rpos past bytes never delivered.
+          // shrank the segment) but the header commit in the same batch
+          // may still have advanced rpos past bytes never delivered.
           // We hold the pipe mutex — no cooperating header mutator can
           // interleave — so restore the old rpos before reporting the
           // error. Best-effort by construction: a peer that shrinks or
           // freezes the shared buffer can corrupt the ring protocol
           // directly no matter what we do (the pipe, like the §5.1
           // directory format, is a cooperative user-level convention; the
-          // kernel only guarantees labels). On the linked-chain path the
-          // commit never ran (kCancelled) — no compensation.
-          if (!via_ring) {
-            h.rpos -= n;
-            kernel_->sys_segment_write(self, buf, &h.rpos, kPipeRposOffset, 8);
-          }
+          // kernel only guarantees labels).
+          h.rpos -= n;
+          kernel_->sys_segment_write(self, buf, &h.rpos, kPipeRposOffset, 8);
           mu.Unlock(self);
           return s;
         }
@@ -595,24 +518,19 @@ Result<uint64_t> FdTable::PipeWrite(ObjectId self, const FdSegState& st, const v
         data_writes = 2;
       }
       reqs[cnt++] = SegmentWriteReq{buf, &h.wpos, kPipeWposOffset, 8};
-      const bool via_ring = RingChunkLinked(self, reqs, cnt, res);
-      if (!via_ring) {
-        kernel_->SubmitBatch(self, std::span<const SyscallReq>(reqs, cnt),
-                             std::span<SyscallRes>(res, cnt));
-      }
+      kernel_->SubmitBatch(self, std::span<const SyscallReq>(reqs, cnt),
+                           std::span<SyscallRes>(res, cnt));
       for (size_t i = 0; i < data_writes; ++i) {
         s = std::get<SegmentWriteRes>(res[i]).status;
         if (s != Status::kOk) {
-          // Mirror of PipeRead: undo the wpos advance the sync batch's
-          // header commit may have published, or the reader would deliver
+          // Mirror of PipeRead: undo the wpos advance the batch's header
+          // commit may have published, or the reader would deliver
           // bytes the failed data write never stored (we hold the pipe
           // mutex, so no cooperating header mutator can interleave;
           // best-effort against a hostile peer, who could corrupt the ring
-          // directly). The linked-chain path cancelled the commit instead.
-          if (!via_ring) {
-            h.wpos -= n;
-            kernel_->sys_segment_write(self, buf, &h.wpos, kPipeWposOffset, 8);
-          }
+          // directly).
+          h.wpos -= n;
+          kernel_->sys_segment_write(self, buf, &h.wpos, kPipeWposOffset, 8);
           mu.Unlock(self);
           return s;
         }

@@ -142,19 +142,6 @@ class FdTable {
   Result<ContainerEntry> Entry(int fd) const;
   int count() const;
 
-  // Opt-in ring-backed pipe transfers (PR 5): creates a submission ring
-  // (labeled like the pipe buffers) in the process container and routes
-  // each pipe chunk — data reads/writes plus the cursor commit — through it
-  // as ONE LINKED chain instead of a synchronous batch. The linked shape is
-  // an actual semantic upgrade over the batch: a failing data op CANCELS
-  // the cursor commit outright (kCancelled), so the compensating
-  // "rollback the cursor we already published" write the sync path needs
-  // never happens. Single-consumer, like everything ring: one FdTable, one
-  // thread at a time (the per-process pattern). Chunks fall back to
-  // SubmitBatch whenever the ring refuses the submission.
-  Status EnableRingTransfers(ObjectId self);
-  bool ring_transfers_enabled() const { return ring_ != kInvalidObject; }
-
  private:
   static constexpr int kMaxFd = 64;
   static constexpr uint64_t kPipeBufBytes = 4096;
@@ -168,17 +155,9 @@ class FdTable {
   Result<uint64_t> PipeWrite(ObjectId self, const FdSegState& st, const void* buf,
                              uint64_t len);
 
-  // Executes `cnt` requests as one fully-linked ring chain, filling `res`.
-  // Returns true when the chain ran via the ring (res is authoritative —
-  // including kCancelled for ops a predecessor's failure suppressed), false
-  // when the submission was never accepted (caller falls back to
-  // SubmitBatch; nothing executed).
-  bool RingChunkLinked(ObjectId self, const SyscallReq* reqs, size_t cnt, SyscallRes* res);
-
   Kernel* kernel_;
   ProcessIds ids_;
   Label seg_label_;
-  ObjectId ring_ = kInvalidObject;
   ObjectId fd_segs_[kMaxFd] = {};
 };
 

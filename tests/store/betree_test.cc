@@ -479,6 +479,56 @@ TEST_F(BetreeStoreTest, RecoveryRefusesForeignEngineByte) {
   }
 }
 
+// Rewrites the type byte of object `id`'s image inside a committed
+// section (an upsert carries u8 format, u8 type, u64 object_id, ...) and
+// re-seals the section checksum, so the type is the only thing recovery
+// can object to. Returns the byte it replaced, or 0xff if the image was
+// not found.
+uint8_t PatchObjectTypeByte(DiskModel* disk, const Extent& section, ObjectId id,
+                            uint8_t type) {
+  std::vector<uint8_t> image(section.length);
+  EXPECT_EQ(disk->Read(section.offset, image.data(), image.size()), Status::kOk);
+  uint8_t id_bytes[8];
+  memcpy(id_bytes, &id, 8);
+  for (size_t i = 2; i + 9 <= image.size() - 8; ++i) {
+    bool format_byte = image[i - 1] == 0x01 || image[i - 1] == 0x02;
+    if (format_byte && image[i] < 8 && memcmp(image.data() + i + 1, id_bytes, 8) == 0) {
+      uint8_t old = image[i];
+      image[i] = type;
+      uint64_t csum = StoreChecksum(image.data(), image.size() - 8);
+      memcpy(image.data() + image.size() - 8, &csum, 8);
+      EXPECT_EQ(disk->Write(section.offset, image.data(), image.size()), Status::kOk);
+      return old;
+    }
+  }
+  return 0xff;
+}
+
+TEST_F(BetreeStoreTest, RecoveryRefusesRetiredObjectType) {
+  // ObjectType value 6 named the deleted async ring and is never reused: a
+  // blob carrying it is refused (kCorrupt), not restored as some other
+  // type. The increment's upsert is patched, so the rest of the chain is
+  // untouched.
+  ObjectId seg = MakeSegment(Label(), 128);
+  ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);  // base
+  char b = 't';
+  ASSERT_EQ(kernel_->sys_segment_write(init_, RootEntry(seg), &b, 0, 1), Status::kOk);
+  ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);  // increment: upserts seg
+  ASSERT_FALSE(store_->last_commit_was_base());
+  WorldMap committed = WorldImage(*kernel_);
+
+  std::vector<Extent> chain = CommittedChain(disk_.get());
+  ASSERT_EQ(chain.size(), 2u);
+  const uint8_t segment_type = static_cast<uint8_t>(ObjectType::kSegment);
+  ASSERT_EQ(PatchObjectTypeByte(disk_.get(), chain[1], seg, 6), segment_type);
+  EXPECT_EQ(RebootFromDisk(disk_.get(), tuning_).status, Status::kCorrupt);
+  ASSERT_EQ(PatchObjectTypeByte(disk_.get(), chain[1], seg, segment_type), 6);
+  // Restoring the byte restores the boot: the patch itself is sound.
+  RebootResult r = RebootFromDisk(disk_.get(), tuning_);
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(WorldImage(*r.kernel), committed);
+}
+
 TEST_F(BetreeStoreTest, AllocationFailureSweepOverBaseFlush) {
   // Fail the Nth allocator check for N = 1..24, each against a base flush
   // with real tree work. Whatever fails must leave the store retriable and

@@ -2,7 +2,7 @@
 //
 // Drives seeded multi-crash schedules against the single-level store across
 // base checkpoints, increments, WAL appends, and base rollovers, on four
-// workloads (dirty-heavy, label-churn, ring-driven, and betree-heavy — the
+// workloads (dirty-heavy, label-churn, batch-driven, and betree-heavy — the
 // Bε-tree engine under a toy geometry so faults race message flushes, node
 // splits, and torn interior-node writes). Each round mutates the
 // live kernel, arms one fault from the DiskModel FaultPlan / StoreAlloc
@@ -41,7 +41,7 @@
 namespace histar {
 namespace {
 
-enum class Workload { kDirtyHeavy, kLabelChurn, kRingDriven, kBetreeHeavy };
+enum class Workload { kDirtyHeavy, kLabelChurn, kBatchDriven, kBetreeHeavy };
 
 StoreTuning CampaignTuning(Workload w) {
   StoreTuning t;
@@ -66,7 +66,7 @@ const char* WorkloadName(Workload w) {
   switch (w) {
     case Workload::kDirtyHeavy: return "dirty-heavy";
     case Workload::kLabelChurn: return "label-churn";
-    case Workload::kRingDriven: return "ring-driven";
+    case Workload::kBatchDriven: return "batch-driven";
     case Workload::kBetreeHeavy: return "betree-heavy";
   }
   return "?";
@@ -168,15 +168,6 @@ class Schedule {
   }
 
   void SetupWorkload() {
-    if (workload_ == Workload::kRingDriven) {
-      CreateSpec spec;
-      spec.container = kernel_->root_container();
-      spec.descrip = "fc-ring";
-      spec.quota = 16 * kPageSize;
-      Result<ObjectId> r = kernel_->sys_ring_create(init_, spec, 0);
-      ASSERT_TRUE(r.ok()) << StatusName(r.status());
-      ring_ = r.value();
-    }
     if (workload_ == Workload::kLabelChurn) {
       Result<CategoryId> c = kernel_->sys_cat_create(init_);
       ASSERT_TRUE(c.ok());
@@ -245,22 +236,35 @@ class Schedule {
         }
         break;
       }
-      case Workload::kRingDriven: {
-        // Dirty objects through the async ring: submit a linked chain of
-        // segment writes, wait, reap. The ring object itself churns too.
-        std::vector<uint64_t> stamps(4);
-        std::vector<RingOp> ops;
-        for (int i = 0; i < 3 && !segs_.empty(); ++i) {
-          ObjectId s = segs_[rng_() % segs_.size()];
-          stamps[static_cast<size_t>(i)] = rng_();
-          ops.push_back(RingOp{SyscallReq{
-              SegmentWriteReq{RootEntry(s), &stamps[static_cast<size_t>(i)], 0, 8}}});
+      case Workload::kBatchDriven: {
+        // One SubmitBatch mutates many objects at once: a segment create,
+        // a write to every live segment (their ids hash across the table
+        // shards, so the lock groups span shards), and an unref that
+        // churns the live set.
+        std::vector<uint64_t> stamps(segs_.size());
+        std::vector<SyscallReq> reqs;
+        CreateSpec spec;
+        spec.container = kernel_->root_container();
+        spec.descrip = "fc-seg";
+        spec.quota = kObjectOverheadBytes + 128 + kPageSize;
+        reqs.push_back(SegmentCreateReq{spec, 128});
+        for (size_t i = 0; i < segs_.size(); ++i) {
+          stamps[i] = rng_();
+          reqs.push_back(SegmentWriteReq{RootEntry(segs_[i]), &stamps[i], 0, 8});
         }
-        ContainerEntry re = RootEntry(ring_);
-        Result<uint64_t> t = kernel_->sys_ring_submit(init_, re, std::move(ops));
-        if (t.ok()) {
-          (void)kernel_->sys_ring_wait(init_, re, t.value(), 5000);
-          (void)kernel_->sys_ring_reap(init_, re, 0);
+        size_t victim = segs_.size();
+        if (segs_.size() > 5 && rng_() % 2 == 0) {
+          victim = rng_() % segs_.size();
+          reqs.push_back(ContainerUnrefReq{RootEntry(segs_[victim])});
+        }
+        std::vector<SyscallRes> res(reqs.size());
+        ASSERT_EQ(kernel_->SubmitBatch(init_, reqs, res), Status::kOk);
+        if (victim < segs_.size() && ResStatus(res.back()) == Status::kOk) {
+          segs_.erase(segs_.begin() + static_cast<long>(victim));
+        }
+        if (const SegmentCreateRes* c = std::get_if<SegmentCreateRes>(&res[0]);
+            c != nullptr && c->status == Status::kOk) {
+          segs_.push_back(c->id);
         }
         break;
       }
@@ -485,7 +489,6 @@ class Schedule {
   std::unique_ptr<SingleLevelStore> store_;
   std::unique_ptr<Kernel> kernel_;
   ObjectId init_ = kInvalidObject;
-  ObjectId ring_ = kInvalidObject;
   CategoryId cat_ = 0;
   std::vector<ObjectId> segs_;
   std::unique_ptr<CrashOracle> oracle_;
@@ -501,7 +504,7 @@ TEST(FaultCampaign, RandomizedSchedulesRecoverConsistently) {
   const uint64_t replay_seed = EnvU64("FAULT_SEED", 0);
   const uint64_t per_workload = replay_seed != 0 ? 1 : EnvU64("FAULT_SCHEDULES", 70);
 
-  for (Workload w : {Workload::kDirtyHeavy, Workload::kLabelChurn, Workload::kRingDriven,
+  for (Workload w : {Workload::kDirtyHeavy, Workload::kLabelChurn, Workload::kBatchDriven,
                      Workload::kBetreeHeavy}) {
     for (uint64_t i = 0; i < per_workload; ++i) {
       // Seed derivation is stable so any schedule replays from its printed

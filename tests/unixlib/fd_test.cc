@@ -182,42 +182,5 @@ TEST_F(FdTest, DescriptorCountTracksOpenAndClose) {
   EXPECT_EQ(b.value(), a.value());
 }
 
-TEST_F(FdTest, RingBackedPipeTransfersRoundTrip) {
-  // The PR 5 ring mode: every pipe chunk goes out as one linked chain
-  // (data ops cancel the cursor commit on failure) — byte streams must be
-  // identical to the sync path, including wrap-around chunks.
-  FdTable fds(kernel_.get(), ctx_->ids, Label());
-  ASSERT_EQ(fds.EnableRingTransfers(init()), Status::kOk);
-  ASSERT_TRUE(fds.ring_transfers_enabled());
-  Result<std::pair<int, int>> p = fds.CreatePipe(init());
-  ASSERT_TRUE(p.ok());
-  // Push enough data through to wrap the 4 KiB pipe buffer several times.
-  std::string sent;
-  std::string got;
-  char chunk[512];
-  for (int round = 0; round < 24; ++round) {
-    for (size_t i = 0; i < sizeof(chunk); ++i) {
-      chunk[i] = static_cast<char>('A' + ((round + static_cast<int>(i)) % 23));
-    }
-    Result<uint64_t> w = fds.Write(init(), p.value().second, chunk, sizeof(chunk));
-    ASSERT_TRUE(w.ok()) << StatusName(w.status());
-    sent.append(chunk, w.value());
-    char rbuf[700];
-    Result<uint64_t> r = fds.Read(init(), p.value().first, rbuf, sizeof(rbuf));
-    ASSERT_TRUE(r.ok()) << StatusName(r.status());
-    got.append(rbuf, r.value());
-  }
-  // Drain the remainder.
-  for (;;) {
-    char rbuf[700];
-    Result<uint64_t> r = fds.ReadTimeout(init(), p.value().first, rbuf, sizeof(rbuf), 50);
-    if (!r.ok() || r.value() == 0) {
-      break;
-    }
-    got.append(rbuf, r.value());
-  }
-  EXPECT_EQ(got, sent);
-}
-
 }  // namespace
 }  // namespace histar

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/unixlib/unix.h"
 
 namespace histar {
@@ -211,10 +213,9 @@ TEST_F(FsTest, DirectoryListingWithoutWritePermission) {
   EXPECT_FALSE(reader_fs.Create(reader.value(), bob.value().home, "nope", Label()).ok());
 }
 
-TEST_F(FsTest, AsyncScansMatchSyncScans) {
-  // The PR 5 ring-backed dir-scan pipeline must be observationally
-  // identical to the synchronous batched path — same listing, same lookup
-  // results — across multiple windows (41 entries > 2 × 16-record windows).
+TEST_F(FsTest, ScansSpanManyBatches) {
+  // Directory scans read records in 16-record batches; 41 entries span
+  // three, and Lookup exercises the early-stopping scan.
   ObjectId tmp = world_->tmp_dir();
   std::vector<std::string> names;
   for (int i = 0; i < 41; ++i) {
@@ -222,28 +223,16 @@ TEST_F(FsTest, AsyncScansMatchSyncScans) {
     ASSERT_TRUE(fs().Create(self_, tmp, name, Label()).ok());
     names.push_back(name);
   }
-  Result<std::vector<std::pair<std::string, ObjectId>>> sync_list = fs().ReadDir(self_, tmp);
-  ASSERT_TRUE(sync_list.ok());
-
-  ASSERT_EQ(fs().EnableAsyncScans(self_, kernel_->root_container()), Status::kOk);
-  ASSERT_TRUE(fs().async_scans_enabled());
-  Result<std::vector<std::pair<std::string, ObjectId>>> async_list = fs().ReadDir(self_, tmp);
-  ASSERT_TRUE(async_list.ok());
-  EXPECT_EQ(async_list.value(), sync_list.value());
-
-  // Lookup exercises the early-stopping scan (drains the in-flight window).
+  Result<std::vector<std::pair<std::string, ObjectId>>> list = fs().ReadDir(self_, tmp);
+  ASSERT_TRUE(list.ok());
   for (const std::string& name : names) {
+    EXPECT_NE(std::find_if(list.value().begin(), list.value().end(),
+                           [&](const auto& e) { return e.first == name; }),
+              list.value().end())
+        << name;
     EXPECT_TRUE(fs().Lookup(self_, tmp, name).ok()) << name;
   }
   EXPECT_EQ(fs().Lookup(self_, tmp, "missing").status(), Status::kNotFound);
-
-  // Copies must NOT inherit the ring (single-consumer rule): a forked
-  // process's FileSystem starts back on the sync path.
-  FileSystem copy = fs();
-  EXPECT_FALSE(copy.async_scans_enabled());
-  Result<std::vector<std::pair<std::string, ObjectId>>> copy_list = copy.ReadDir(self_, tmp);
-  ASSERT_TRUE(copy_list.ok());
-  EXPECT_EQ(copy_list.value(), sync_list.value());
 }
 
 }  // namespace

@@ -79,7 +79,6 @@ const char* kKernelLabelSources[] = {
     "src/kernel/kernel.cc",       "src/kernel/kernel_seg.cc",
     "src/kernel/kernel_thread.cc", "src/kernel/kernel_persist.cc",
     "src/kernel/kernel_batch.cc", "src/kernel/syscall_abi.cc",
-    "src/kernel/ring.cc",
 };
 
 bool IsKernelLabelSource(const std::string& path) {
