@@ -1,6 +1,7 @@
 #include "src/unixlib/fs.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 
 #include "src/unixlib/mutex.h"
@@ -66,35 +67,15 @@ Result<ObjectId> FileSystem::MakeDir(ObjectId self, ObjectId parent, const std::
   if (name.empty() || name.size() > kMaxFileName) {
     return Status::kInvalidArg;
   }
-  Result<ObjectId> existing = Lookup(self, parent, name);
-  if (existing.ok()) {
-    return Status::kExists;
+  Result<ObjectId> seg = DirSegment(self, parent);
+  if (!seg.ok()) {
+    return seg.status();
   }
   Result<ObjectId> dir = MakeRoot(self, parent, label, quota);
   if (!dir.ok()) {
     return dir.status();
   }
-  Result<ObjectId> seg = DirSegment(self, parent);
-  if (!seg.ok()) {
-    return seg.status();
-  }
-  ContainerEntry seg_ce{parent, seg.value()};
-  SegmentMutex mu(kernel_, seg_ce, 0);
-  if (!mu.Lock(self)) {
-    return Status::kLabelCheckFailed;
-  }
-  uint64_t slot;
-  FindEntry(self, seg_ce, name, &slot);
-  DirEntry e{};
-  e.objid = dir.value();
-  e.in_use = 1;
-  memcpy(e.name, name.data(), name.size());
-  Status st = WriteEntry(self, seg_ce, slot, e);
-  mu.Unlock(self);
-  if (st != Status::kOk) {
-    return st;
-  }
-  return dir.value();
+  return AddEntry(self, ContainerEntry{parent, seg.value()}, name, dir.value());
 }
 
 Result<ObjectId> FileSystem::Create(ObjectId self, ObjectId dir, const std::string& name,
@@ -102,9 +83,9 @@ Result<ObjectId> FileSystem::Create(ObjectId self, ObjectId dir, const std::stri
   if (name.empty() || name.size() > kMaxFileName) {
     return Status::kInvalidArg;
   }
-  Result<ObjectId> existing = Lookup(self, dir, name);
-  if (existing.ok()) {
-    return Status::kExists;
+  Result<ObjectId> seg = DirSegment(self, dir);
+  if (!seg.ok()) {
+    return seg.status();
   }
   CreateSpec fspec;
   fspec.container = dir;
@@ -115,27 +96,31 @@ Result<ObjectId> FileSystem::Create(ObjectId self, ObjectId dir, const std::stri
   if (!file.ok()) {
     return file.status();
   }
-  Result<ObjectId> seg = DirSegment(self, dir);
-  if (!seg.ok()) {
-    return seg.status();
+  return AddEntry(self, ContainerEntry{dir, seg.value()}, name, file.value());
+}
+
+Result<ObjectId> FileSystem::AddEntry(ObjectId self, ContainerEntry seg, const std::string& name,
+                                      ObjectId obj) {
+  Status st = Status::kLabelCheckFailed;
+  SegmentMutex mu(kernel_, seg, 0);
+  if (mu.Lock(self)) {
+    uint64_t slot;
+    DirSnapshot snap;
+    Result<ObjectId> existing = FindEntry(self, seg, name, &slot, &snap);
+    if (existing.ok()) {
+      st = Status::kExists;
+    } else if (existing.status() != Status::kNotFound) {
+      st = existing.status();
+    } else {
+      st = WriteEntries(self, seg, snap, {{slot, NamedEntry(obj, name)}});
+    }
+    mu.Unlock(self);
   }
-  ContainerEntry seg_ce{dir, seg.value()};
-  SegmentMutex mu(kernel_, seg_ce, 0);
-  if (!mu.Lock(self)) {
-    return Status::kLabelCheckFailed;
-  }
-  uint64_t slot;
-  FindEntry(self, seg_ce, name, &slot);
-  DirEntry e{};
-  e.objid = file.value();
-  e.in_use = 1;
-  memcpy(e.name, name.data(), name.size());
-  Status st = WriteEntry(self, seg_ce, slot, e);
-  mu.Unlock(self);
   if (st != Status::kOk) {
+    kernel_->sys_container_unref(self, ContainerEntry{seg.container, obj});
     return st;
   }
-  return file.value();
+  return obj;
 }
 
 Result<ObjectId> FileSystem::Relabel(ObjectId self, ObjectId dir, const std::string& name,
@@ -150,7 +135,8 @@ Result<ObjectId> FileSystem::Relabel(ObjectId self, ObjectId dir, const std::str
     return Status::kLabelCheckFailed;
   }
   uint64_t slot;
-  Result<ObjectId> old = FindEntry(self, seg_ce, name, &slot);
+  DirSnapshot snap;
+  Result<ObjectId> old = FindEntry(self, seg_ce, name, &slot, &snap);
   if (!old.ok()) {
     mu.Unlock(self);
     return old.status();
@@ -172,11 +158,7 @@ Result<ObjectId> FileSystem::Relabel(ObjectId self, ObjectId dir, const std::str
     mu.Unlock(self);
     return copy.status();
   }
-  DirEntry e{};
-  e.objid = copy.value();
-  e.in_use = 1;
-  memcpy(e.name, name.data(), std::min(name.size(), sizeof(e.name) - 1));
-  Status st = WriteEntry(self, seg_ce, slot, e);
+  Status st = WriteEntries(self, seg_ce, snap, {{slot, NamedEntry(copy.value(), name)}});
   mu.Unlock(self);
   if (st != Status::kOk) {
     kernel_->sys_container_unref(self, ContainerEntry{dir, copy.value()});
@@ -201,62 +183,65 @@ Result<ObjectId> FileSystem::DirSegment(ObjectId self, ObjectId dir) {
   return seg;
 }
 
-namespace {
-// Directory scans read fixed 64-byte records from one segment — the
-// archetypal same-shard syscall run. Submitting them in batches pays one
-// TableLock per kDirScanBatch records instead of one per record, which is
-// where a path walk spends most of its syscalls.
-constexpr uint64_t kDirScanBatch = 16;
-}  // namespace
+FileSystem::DirEntry FileSystem::NamedEntry(ObjectId obj, const std::string& name) {
+  DirEntry e{};
+  e.objid = obj;
+  e.in_use = 1;
+  memcpy(e.name, name.data(), std::min(name.size(), sizeof(e.name) - 1));
+  return e;
+}
+
+bool FileSystem::NameIs(const DirEntry& e, const std::string& name) {
+  return e.in_use != 0 && strncmp(e.name, name.c_str(), sizeof(e.name)) == 0;
+}
 
 template <typename Fn>
-Status FileSystem::ScanDirRecords(ObjectId self, ContainerEntry seg, uint64_t n, Fn&& fn) {
-  DirEntry entries[kDirScanBatch];
-  SyscallReq reqs[kDirScanBatch];
-  SyscallRes res[kDirScanBatch];
-  for (uint64_t base = 0; base < n; base += kDirScanBatch) {
-    uint64_t cnt = std::min(kDirScanBatch, n - base);
-    for (uint64_t i = 0; i < cnt; ++i) {
-      reqs[i] = SegmentReadReq{seg, &entries[i],
-                               sizeof(DirHeader) + (base + i) * sizeof(DirEntry),
-                               sizeof(DirEntry)};
-    }
-    kernel_->SubmitBatch(self, std::span<const SyscallReq>(reqs, cnt),
-                         std::span<SyscallRes>(res, cnt));
-    for (uint64_t i = 0; i < cnt; ++i) {
-      Status st = std::get<SegmentReadRes>(res[i]).status;
-      if (st != Status::kOk) {
-        return st;
-      }
-      if (!fn(base + i, entries[i])) {
-        return Status::kOk;
-      }
+Status FileSystem::ScanDirRecords(ObjectId self, ContainerEntry seg, DirSnapshot* snap, Fn&& fn) {
+  Result<uint64_t> len = kernel_->sys_segment_get_len(self, seg);
+  if (!len.ok()) {
+    return len.status();
+  }
+  if (len.value() < sizeof(DirHeader)) {
+    return Status::kWrongType;  // too short to be a directory segment
+  }
+  // Directory segments only grow, so the first len bytes are still there.
+  std::vector<uint8_t> bytes(len.value());
+  Status st = kernel_->sys_segment_read(self, seg, bytes.data(), 0, bytes.size());
+  if (st != Status::kOk) {
+    return st;
+  }
+  if (snap != nullptr) {
+    DirHeader h;
+    memcpy(&h, bytes.data(), sizeof(h));
+    *snap = DirSnapshot{bytes.size(), h.generation};
+  }
+  uint64_t n = (bytes.size() - sizeof(DirHeader)) / sizeof(DirEntry);
+  for (uint64_t slot = 0; slot < n; ++slot) {
+    DirEntry e;
+    memcpy(&e, bytes.data() + RecordOffset(slot), sizeof(e));
+    if (!fn(slot, e)) {
+      break;
     }
   }
   return Status::kOk;
 }
 
 Result<ObjectId> FileSystem::FindEntry(ObjectId self, ContainerEntry seg,
-                                       const std::string& name, uint64_t* slot_out) {
-  Result<uint64_t> len = kernel_->sys_segment_get_len(self, seg);
-  if (!len.ok()) {
-    return len.status();
-  }
-  uint64_t n = (len.value() - sizeof(DirHeader)) / sizeof(DirEntry);
-  uint64_t free_slot = n;
-  uint64_t found_slot = n;
+                                       const std::string& name, uint64_t* slot_out,
+                                       DirSnapshot* snap) {
+  uint64_t free_slot = kNoSlot;
+  uint64_t found_slot = kNoSlot;
+  uint64_t n = 0;
   ObjectId found = kInvalidObject;
-  Status st = ScanDirRecords(self, seg, n, [&](uint64_t slot, const DirEntry& e) {
-    if (e.in_use == 0) {
-      if (free_slot == n) {
-        free_slot = slot;
-      }
-      return true;
-    }
-    if (strncmp(e.name, name.c_str(), sizeof(e.name)) == 0) {
+  Status st = ScanDirRecords(self, seg, snap, [&](uint64_t slot, const DirEntry& e) {
+    n = slot + 1;
+    if (NameIs(e, name)) {
       found_slot = slot;
       found = e.objid;
       return false;  // stop: name matched
+    }
+    if (e.in_use == 0 && free_slot == kNoSlot) {
+      free_slot = slot;
     }
     return true;
   });
@@ -270,44 +255,37 @@ Result<ObjectId> FileSystem::FindEntry(ObjectId self, ContainerEntry seg,
     return found;
   }
   if (slot_out != nullptr) {
-    *slot_out = free_slot;
+    *slot_out = free_slot != kNoSlot ? free_slot : n;  // else append
   }
   return Status::kNotFound;
 }
 
-Status FileSystem::WriteEntry(ObjectId self, ContainerEntry seg, uint64_t slot,
-                              const DirEntry& e) {
-  Status st = BumpGeneration(self, seg, +1);
-  if (st != Status::kOk) {
-    return st;
+Status FileSystem::WriteEntries(ObjectId self, ContainerEntry seg, const DirSnapshot& snap,
+                                std::initializer_list<SlotWrite> writes) {
+  // The generation write touches only its own 8 bytes, never the mutex word
+  // at offset 0 that a waiter may be updating concurrently.
+  static_assert(offsetof(DirHeader, generation) == 8);
+  uint64_t generation = snap.generation + 1;
+  uint64_t need = snap.len;
+  for (const SlotWrite& w : writes) {
+    need = std::max(need, RecordOffset(w.slot + 1));
   }
-  Result<uint64_t> len = kernel_->sys_segment_get_len(self, seg);
-  if (!len.ok()) {
-    return len.status();
+  std::vector<SyscallReq> reqs;
+  if (need > snap.len) {
+    reqs.push_back(SegmentResizeReq{seg, need});
   }
-  uint64_t need = sizeof(DirHeader) + (slot + 1) * sizeof(DirEntry);
-  if (len.value() < need) {
-    st = kernel_->sys_segment_resize(self, seg, need);
-    if (st != Status::kOk) {
-      BumpGeneration(self, seg, -1);
-      return st;
-    }
+  for (const SlotWrite& w : writes) {
+    reqs.push_back(SegmentWriteReq{seg, &w.entry, RecordOffset(w.slot), sizeof(DirEntry)});
   }
-  st = kernel_->sys_segment_write(self, seg, &e, sizeof(DirHeader) + slot * sizeof(DirEntry),
-                                  sizeof(e));
-  BumpGeneration(self, seg, -1);
+  reqs.push_back(SegmentWriteReq{seg, &generation, offsetof(DirHeader, generation),
+                                 sizeof(generation)});
+  std::vector<SyscallRes> res(reqs.size());
+  Status st = kernel_->SubmitBatch(self, reqs, res);
+  for (size_t i = 0; st == Status::kOk && i < res.size(); ++i) {
+    const auto* w = std::get_if<SegmentWriteRes>(&res[i]);
+    st = w != nullptr ? w->status : std::get<SegmentResizeRes>(res[i]).status;
+  }
   return st;
-}
-
-Status FileSystem::BumpGeneration(ObjectId self, ContainerEntry seg, int64_t busy_delta) {
-  DirHeader h;
-  Status st = kernel_->sys_segment_read(self, seg, &h, 0, sizeof(h));
-  if (st != Status::kOk) {
-    return st;
-  }
-  ++h.generation;
-  h.busy = static_cast<uint64_t>(static_cast<int64_t>(h.busy) + busy_delta);
-  return kernel_->sys_segment_write(self, seg, &h, 0, sizeof(h));
 }
 
 Result<ObjectId> FileSystem::Lookup(ObjectId self, ObjectId dir, const std::string& name) {
@@ -320,28 +298,8 @@ Result<ObjectId> FileSystem::Lookup(ObjectId self, ObjectId dir, const std::stri
   if (!seg.ok()) {
     return seg.status();
   }
-  ContainerEntry seg_ce{dir, seg.value()};
-  // Consistent read without the mutex: retry while a writer is mid-update.
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    DirHeader before;
-    Status st = kernel_->sys_segment_read(self, seg_ce, &before, 0, sizeof(before));
-    if (st != Status::kOk) {
-      return st;
-    }
-    if (before.busy != 0) {
-      continue;
-    }
-    Result<ObjectId> r = FindEntry(self, seg_ce, name, nullptr);
-    DirHeader after;
-    st = kernel_->sys_segment_read(self, seg_ce, &after, 0, sizeof(after));
-    if (st != Status::kOk) {
-      return st;
-    }
-    if (after.generation == before.generation && after.busy == 0) {
-      return r;
-    }
-  }
-  return Status::kBusy;
+  // No mutex: the scan's one read is a consistent snapshot.
+  return FindEntry(self, ContainerEntry{dir, seg.value()}, name, nullptr, nullptr);
 }
 
 Status FileSystem::Unlink(ObjectId self, ObjectId dir, const std::string& name) {
@@ -355,13 +313,13 @@ Status FileSystem::Unlink(ObjectId self, ObjectId dir, const std::string& name) 
     return Status::kLabelCheckFailed;
   }
   uint64_t slot;
-  Result<ObjectId> obj = FindEntry(self, seg_ce, name, &slot);
+  DirSnapshot snap;
+  Result<ObjectId> obj = FindEntry(self, seg_ce, name, &slot, &snap);
   if (!obj.ok()) {
     mu.Unlock(self);
     return obj.status();
   }
-  DirEntry empty{};
-  Status st = WriteEntry(self, seg_ce, slot, empty);
+  Status st = WriteEntries(self, seg_ce, snap, {{slot, DirEntry{}}});
   mu.Unlock(self);
   if (st != Status::kOk) {
     return st;
@@ -383,28 +341,39 @@ Status FileSystem::Rename(ObjectId self, ObjectId dir, const std::string& from,
   if (!mu.Lock(self)) {
     return Status::kLabelCheckFailed;
   }
-  uint64_t from_slot;
-  Result<ObjectId> obj = FindEntry(self, seg_ce, from, &from_slot);
-  if (!obj.ok()) {
+  // One snapshot finds both names. Renaming a name onto itself matches only
+  // `from`, so it rewrites the entry in place.
+  uint64_t from_slot = kNoSlot;
+  uint64_t to_slot = kNoSlot;
+  ObjectId obj = kInvalidObject;
+  ObjectId displaced = kInvalidObject;
+  DirSnapshot snap;
+  Status st = ScanDirRecords(self, seg_ce, &snap, [&](uint64_t slot, const DirEntry& e) {
+    if (NameIs(e, from)) {
+      from_slot = slot;
+      obj = e.objid;
+    } else if (NameIs(e, to)) {
+      to_slot = slot;
+      displaced = e.objid;
+    }
+    return true;
+  });
+  if (st != Status::kOk || from_slot == kNoSlot) {
     mu.Unlock(self);
-    return obj.status();
+    return st != Status::kOk ? st : Status::kNotFound;
   }
-  // If `to` exists it is replaced (Unix semantics), its object unreferenced
-  // after the name switch.
-  uint64_t to_slot;
-  Result<ObjectId> displaced = FindEntry(self, seg_ce, to, &to_slot);
-  DirEntry e{};
-  e.objid = obj.value();
-  e.in_use = 1;
-  memcpy(e.name, to.data(), to.size());
-  Status st = WriteEntry(self, seg_ce, displaced.ok() ? to_slot : from_slot, e);
-  if (st == Status::kOk && displaced.ok()) {
-    DirEntry empty{};
-    st = WriteEntry(self, seg_ce, from_slot, empty);
+  if (to_slot == kNoSlot) {
+    st = WriteEntries(self, seg_ce, snap, {{from_slot, NamedEntry(obj, to)}});
+  } else {
+    // `to` exists and is replaced (Unix semantics). Binding it and freeing
+    // `from` is one atomic batch, so no reader sees both names bound to one
+    // object; the displaced object is unreferenced after the switch.
+    st = WriteEntries(self, seg_ce, snap,
+                      {{to_slot, NamedEntry(obj, to)}, {from_slot, DirEntry{}}});
   }
   mu.Unlock(self);
-  if (st == Status::kOk && displaced.ok() && displaced.value() != obj.value()) {
-    kernel_->sys_container_unref(self, ContainerEntry{dir, displaced.value()});
+  if (st == Status::kOk && to_slot != kNoSlot && displaced != obj) {
+    kernel_->sys_container_unref(self, ContainerEntry{dir, displaced});
   }
   return st;
 }
@@ -415,41 +384,20 @@ Result<std::vector<std::pair<std::string, ObjectId>>> FileSystem::ReadDir(Object
   if (!seg.ok()) {
     return seg.status();
   }
-  ContainerEntry seg_ce{dir, seg.value()};
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    DirHeader before;
-    Status st = kernel_->sys_segment_read(self, seg_ce, &before, 0, sizeof(before));
-    if (st != Status::kOk) {
-      return st;
-    }
-    if (before.busy != 0) {
-      continue;
-    }
-    Result<uint64_t> len = kernel_->sys_segment_get_len(self, seg_ce);
-    if (!len.ok()) {
-      return len.status();
-    }
-    uint64_t n = (len.value() - sizeof(DirHeader)) / sizeof(DirEntry);
-    std::vector<std::pair<std::string, ObjectId>> out;
-    st = ScanDirRecords(self, seg_ce, n, [&](uint64_t, const DirEntry& e) {
-      if (e.in_use != 0) {
-        out.emplace_back(std::string(e.name, strnlen(e.name, sizeof(e.name))), e.objid);
-      }
-      return true;
-    });
-    if (st != Status::kOk) {
-      return st;
-    }
-    DirHeader after;
-    st = kernel_->sys_segment_read(self, seg_ce, &after, 0, sizeof(after));
-    if (st != Status::kOk) {
-      return st;
-    }
-    if (after.generation == before.generation && after.busy == 0) {
-      return out;
-    }
+  std::vector<std::pair<std::string, ObjectId>> out;
+  Status st = ScanDirRecords(self, ContainerEntry{dir, seg.value()}, nullptr,
+                             [&](uint64_t, const DirEntry& e) {
+                               if (e.in_use != 0) {
+                                 out.emplace_back(
+                                     std::string(e.name, strnlen(e.name, sizeof(e.name))),
+                                     e.objid);
+                               }
+                               return true;
+                             });
+  if (st != Status::kOk) {
+    return st;
   }
-  return Status::kBusy;
+  return out;
 }
 
 Result<ObjectId> FileSystem::Walk(ObjectId self, ObjectId root, const std::string& path) {

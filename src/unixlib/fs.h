@@ -9,9 +9,13 @@
 //   header: [mutex u64][generation u64][busy u64][count u64]
 //   entry:  [objid u64][in_use u64][name char[48]]   (64 bytes each)
 //
-// Directory updates take the segment mutex and bump the generation; readers
-// who cannot write the directory obtain a consistent snapshot by re-reading
-// the generation and busy flag around each entry (paper §5.1).
+// Directory updates take the segment mutex, then write their entries and
+// bump the generation in ONE SubmitBatch group, which the kernel runs
+// atomically against other threads' syscalls and against sys_sync. So a
+// reader — including one who cannot write the directory, and so cannot take
+// the mutex — gets a consistent snapshot from ONE sys_segment_read of the
+// whole segment, as HiStar's library scans a mapped directory segment
+// (paper §5.1). Nothing writes the busy word any more; readers ignore it.
 //
 // The directory segment's object ID is stored in the first 8 bytes of the
 // directory container's metadata. File modification times live in the file
@@ -19,6 +23,7 @@
 #ifndef SRC_UNIXLIB_FS_H_
 #define SRC_UNIXLIB_FS_H_
 
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,7 +84,7 @@ class FileSystem {
   // Atomic rename within one directory (mutex-protected, §5.1).
   Status Rename(ObjectId self, ObjectId dir, const std::string& from, const std::string& to);
 
-  // Lock-free consistent directory listing (generation/busy protocol).
+  // Consistent directory listing without the mutex (one snapshot read).
   Result<std::vector<std::pair<std::string, ObjectId>>> ReadDir(ObjectId self, ObjectId dir);
 
   // Slash-separated path resolution from `root`; "." and ".." supported
@@ -125,7 +130,7 @@ class FileSystem {
   struct DirHeader {
     uint64_t mutex;
     uint64_t generation;
-    uint64_t busy;
+    uint64_t busy;  // unused and ignored (an older image may hold a stale 1)
     uint64_t count;
   };
   struct DirEntry {
@@ -136,24 +141,54 @@ class FileSystem {
   static_assert(sizeof(DirHeader) == 32);
   static_assert(sizeof(DirEntry) == 64);
 
+  // What a scan under the mutex learned that the update after it needs: the
+  // segment's length (does the batch resize?) and the generation to bump.
+  struct DirSnapshot {
+    uint64_t len = 0;
+    uint64_t generation = 0;
+  };
+  struct SlotWrite {
+    uint64_t slot;
+    DirEntry entry;
+  };
+
+  static constexpr uint64_t kNoSlot = ~uint64_t{0};
+  static uint64_t RecordOffset(uint64_t slot) {
+    return sizeof(DirHeader) + slot * sizeof(DirEntry);
+  }
+  static DirEntry NamedEntry(ObjectId obj, const std::string& name);
+  static bool NameIs(const DirEntry& e, const std::string& name);  // in use and named `name`
+
   // Finds the directory segment for container `dir` (from its metadata).
   Result<ObjectId> DirSegment(ObjectId self, ObjectId dir);
 
-  // Batched scan over the first `n` directory records of `seg`: reads them
-  // in kDirScanBatch-sized SubmitBatch groups (one kernel lock round-trip
-  // per group) and invokes fn(slot, entry) on each; fn returns false to
-  // stop early. Returns the first read error, else kOk. Shared by FindEntry
-  // and ReadDir so the two scans cannot drift. Defined in fs.cc (both users
-  // live there).
+  // Reads all of `seg` — [DirHeader | records] — with sys_segment_get_len
+  // and ONE sys_segment_read. The read runs under the segment's shard lock
+  // and every update is one atomic batch, so the bytes are a consistent
+  // snapshot with no retry. Then invokes fn(slot, entry) on each record; fn
+  // returns false to stop early. `snap` (if non-null) receives the length
+  // and generation. Shared by FindEntry, Rename and ReadDir so the scans
+  // cannot drift. Defined in fs.cc (all users live there).
   template <typename Fn>
-  Status ScanDirRecords(ObjectId self, ContainerEntry seg, uint64_t n, Fn&& fn);
+  Status ScanDirRecords(ObjectId self, ContainerEntry seg, DirSnapshot* snap, Fn&& fn);
 
-  // Entry scan helpers; `slot_out` receives the matching or first-free slot.
+  // Name → object id; `slot_out` receives the matching slot, else the first
+  // free one (or the append slot).
   Result<ObjectId> FindEntry(ObjectId self, ContainerEntry seg, const std::string& name,
-                             uint64_t* slot_out);
+                             uint64_t* slot_out, DirSnapshot* snap);
 
-  Status WriteEntry(ObjectId self, ContainerEntry seg, uint64_t slot, const DirEntry& e);
-  Status BumpGeneration(ObjectId self, ContainerEntry seg, int64_t busy_delta);
+  // One directory update as ONE SubmitBatch group: a resize when a slot
+  // lies past the snapshot's end, the entry writes, and the generation
+  // bump. The caller holds the mutex and scanned `snap` under it.
+  Status WriteEntries(ObjectId self, ContainerEntry seg, const DirSnapshot& snap,
+                      std::initializer_list<SlotWrite> writes);
+
+  // Create/MakeDir's tail: names `obj` (just created in seg.container) in
+  // the directory, deciding under the mutex whether the name is free. On
+  // kExists or any other failure `obj` is unreferenced, so nothing is
+  // orphaned.
+  Result<ObjectId> AddEntry(ObjectId self, ContainerEntry seg, const std::string& name,
+                            ObjectId obj);
 
   Kernel* kernel_;
   MountTable mounts_;

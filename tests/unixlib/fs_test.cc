@@ -5,11 +5,46 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstring>
+#include <thread>
 
+#include "src/store/single_level_store.h"
 #include "src/unixlib/unix.h"
 
 namespace histar {
 namespace {
+
+// The directory segment of `dir` (its id is the first metadata word).
+ContainerEntry DirSeg(Kernel* k, ObjectId self, ObjectId dir) {
+  Result<std::vector<uint8_t>> md = k->sys_obj_get_metadata(self, SelfEntry(dir));
+  EXPECT_TRUE(md.ok());
+  uint64_t seg = 0;
+  if (md.ok()) {
+    memcpy(&seg, md.value().data(), sizeof(seg));
+  }
+  return ContainerEntry{dir, seg};
+}
+
+// An older build raised and lowered a directory header's busy word (offset
+// 16) in separate syscalls, so a checkpoint between them stored busy = 1.
+void SetBusyWord(Kernel* k, ObjectId self, ObjectId dir) {
+  uint64_t busy = 1;
+  ASSERT_EQ(k->sys_segment_write(self, DirSeg(k, self, dir), &busy, 16, 8), Status::kOk);
+}
+
+// Readers must not wait on the busy word: `dir`, holding only `file` named
+// "there", still serves Lookup, ReadDir and Create.
+void ExpectBusyWordIgnored(Kernel* k, ObjectId self, ObjectId dir, ObjectId file) {
+  FileSystem fs(k);
+  Result<ObjectId> found = fs.Lookup(self, dir, "there");
+  ASSERT_TRUE(found.ok()) << StatusName(found.status());
+  EXPECT_EQ(found.value(), file);
+  Result<std::vector<std::pair<std::string, ObjectId>>> list = fs.ReadDir(self, dir);
+  ASSERT_TRUE(list.ok()) << StatusName(list.status());
+  EXPECT_EQ(list.value().size(), 1u);
+  EXPECT_TRUE(fs.Create(self, dir, "after", Label()).ok());
+}
 
 class FsTest : public ::testing::Test {
  protected:
@@ -23,6 +58,12 @@ class FsTest : public ::testing::Test {
   void TearDown() override { CurrentThread::Set(kInvalidObject); }
 
   FileSystem& fs() { return world_->fs(); }
+
+  size_t Links(ObjectId container) {
+    Result<std::vector<ObjectId>> l = kernel_->sys_container_list(self_, container);
+    EXPECT_TRUE(l.ok());
+    return l.ok() ? l.value().size() : 0;
+  }
 
   std::unique_ptr<Kernel> kernel_;
   std::unique_ptr<UnixWorld> world_;
@@ -58,6 +99,31 @@ TEST_F(FsTest, DuplicateCreateFails) {
   EXPECT_EQ(fs().Create(self_, tmp, "dup", Label()).status(), Status::kExists);
 }
 
+TEST_F(FsTest, FailedCreateOrphansNothing) {
+  // Create and MakeDir make their object before the scan under the mutex
+  // finds the name taken; the object must then be unreferenced, leaving
+  // the directory container's links as they were.
+  ObjectId tmp = world_->tmp_dir();
+  ASSERT_TRUE(fs().Create(self_, tmp, "file", Label()).ok());
+  ASSERT_TRUE(fs().MakeDir(self_, tmp, "dir", Label(), 1 << 16).ok());
+  size_t links = Links(tmp);
+  for (const char* name : {"file", "dir"}) {
+    EXPECT_EQ(fs().Create(self_, tmp, name, Label()).status(), Status::kExists) << name;
+    EXPECT_EQ(fs().MakeDir(self_, tmp, name, Label(), 1 << 16).status(), Status::kExists)
+        << name;
+  }
+  EXPECT_EQ(Links(tmp), links);
+  // A container without a directory segment is not a directory: Create
+  // fails before making anything in it.
+  CreateSpec spec;
+  spec.container = tmp;
+  spec.quota = 1 << 16;
+  Result<ObjectId> plain = kernel_->sys_container_create(self_, spec, 0);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(fs().Create(self_, plain.value(), "f", Label()).status(), Status::kWrongType);
+  EXPECT_EQ(Links(plain.value()), 0u);
+}
+
 TEST_F(FsTest, UnlinkRemovesFileAndObject) {
   ObjectId tmp = world_->tmp_dir();
   Result<ObjectId> f = fs().Create(self_, tmp, "gone", Label());
@@ -74,6 +140,11 @@ TEST_F(FsTest, RenameIsAtomicWithinDirectory) {
   ASSERT_EQ(fs().Rename(self_, tmp, "old", "new"), Status::kOk);
   EXPECT_EQ(fs().Lookup(self_, tmp, "old").status(), Status::kNotFound);
   Result<ObjectId> moved = fs().Lookup(self_, tmp, "new");
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(moved.value(), f.value());
+  // Renaming a name onto itself leaves it bound.
+  ASSERT_EQ(fs().Rename(self_, tmp, "new", "new"), Status::kOk);
+  moved = fs().Lookup(self_, tmp, "new");
   ASSERT_TRUE(moved.ok());
   EXPECT_EQ(moved.value(), f.value());
 }
@@ -213,9 +284,9 @@ TEST_F(FsTest, DirectoryListingWithoutWritePermission) {
   EXPECT_FALSE(reader_fs.Create(reader.value(), bob.value().home, "nope", Label()).ok());
 }
 
-TEST_F(FsTest, ScansSpanManyBatches) {
-  // Directory scans read records in 16-record batches; 41 entries span
-  // three, and Lookup exercises the early-stopping scan.
+TEST_F(FsTest, ScansSeeEveryEntryOfALargeDirectory) {
+  // 41 entries in one snapshot read: ReadDir lists them all, and Lookup
+  // exercises the early-stopping scan.
   ObjectId tmp = world_->tmp_dir();
   std::vector<std::string> names;
   for (int i = 0; i < 41; ++i) {
@@ -233,6 +304,125 @@ TEST_F(FsTest, ScansSpanManyBatches) {
     EXPECT_TRUE(fs().Lookup(self_, tmp, name).ok()) << name;
   }
   EXPECT_EQ(fs().Lookup(self_, tmp, "missing").status(), Status::kNotFound);
+  // A freed slot is reused: the directory segment does not grow.
+  ContainerEntry seg = DirSeg(kernel_.get(), self_, tmp);
+  uint64_t len = kernel_->sys_segment_get_len(self_, seg).value();
+  ASSERT_EQ(fs().Unlink(self_, tmp, "f20"), Status::kOk);
+  ASSERT_TRUE(fs().Create(self_, tmp, "again", Label()).ok());
+  EXPECT_EQ(kernel_->sys_segment_get_len(self_, seg).value(), len);
+  EXPECT_TRUE(fs().Lookup(self_, tmp, "again").ok());
+  EXPECT_EQ(fs().Lookup(self_, tmp, "f20").status(), Status::kNotFound);
+}
+
+TEST_F(FsTest, DirectoryOpsCostAConstantNumberOfKernelCalls) {
+  // A scan is sys_segment_get_len plus one read of the whole segment, and an
+  // update is one batch, so neither depends on the directory's size.
+  // Every entry of a batch counts as one call.
+  ObjectId tmp = world_->tmp_dir();
+  Result<ObjectId> small = fs().MakeDir(self_, tmp, "small", Label(), 1 << 20);
+  Result<ObjectId> large = fs().MakeDir(self_, tmp, "large", Label(), 4 << 20);
+  ASSERT_TRUE(small.ok() && large.ok());
+  const uint64_t kFileQuota = kObjectOverheadBytes + 1024;
+  ASSERT_TRUE(fs().Create(self_, small.value(), "f0", Label(), kFileQuota).ok());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(
+        fs().Create(self_, large.value(), "f" + std::to_string(i), Label(), kFileQuota).ok());
+  }
+  uint64_t create_calls[2];
+  for (ObjectId dir : {small.value(), large.value()}) {
+    uint64_t c0 = kernel_->thread_syscall_count(self_);
+    EXPECT_EQ(fs().Lookup(self_, dir, "missing").status(), Status::kNotFound);
+    uint64_t c1 = kernel_->thread_syscall_count(self_);
+    EXPECT_EQ(c1 - c0, 3u) << "Lookup, directory " << dir;
+    ASSERT_TRUE(fs().Create(self_, dir, "new", Label(), kFileQuota).ok());
+    create_calls[dir == large.value()] = kernel_->thread_syscall_count(self_) - c1;
+  }
+  EXPECT_EQ(create_calls[1], create_calls[0]);
+}
+
+TEST_F(FsTest, StuckBusyWordIsIgnored) {
+  ObjectId tmp = world_->tmp_dir();
+  Result<ObjectId> f = fs().Create(self_, tmp, "there", Label());
+  ASSERT_TRUE(f.ok());
+  SetBusyWord(kernel_.get(), self_, tmp);
+  ExpectBusyWordIgnored(kernel_.get(), self_, tmp, f.value());
+}
+
+TEST(FsRecoveryTest, StuckBusyWordIsIgnoredAfterRecovery) {
+  DiskGeometry g;
+  g.capacity_bytes = 64 << 20;
+  g.zero_latency = true;
+  g.store_data = true;
+  DiskModel disk(g);
+  SingleLevelStore store(&disk);
+  ASSERT_EQ(store.Format(), Status::kOk);
+  Kernel kernel;
+  kernel.AttachPersistTarget(&store);
+  std::unique_ptr<UnixWorld> world = UnixWorld::Boot(&kernel);
+  ASSERT_NE(world, nullptr);
+  ObjectId init = world->init_thread();
+  CurrentThread bind(init);
+  ObjectId tmp = world->tmp_dir();
+  Result<ObjectId> f = world->fs().Create(init, tmp, "there", Label());
+  ASSERT_TRUE(f.ok());
+  SetBusyWord(&kernel, init, tmp);
+  ASSERT_EQ(kernel.sys_sync(init), Status::kOk);
+
+  // The checkpoint holds busy = 1; a fresh kernel booted from it must still
+  // serve the directory.
+  SingleLevelStore store2(&disk);
+  Kernel k2;
+  ASSERT_EQ(store2.Recover(&k2), Status::kOk);
+  ExpectBusyWordIgnored(&k2, init, tmp, f.value());
+}
+
+TEST_F(FsTest, ReaderNeverSeesARenameHalfDone) {
+  // Rename-over-existing binds the new name and frees the old one in one
+  // batch, so a lock-free listing never shows "a" and "b" bound to the same
+  // object. Only the writer takes the directory mutex.
+  Result<ObjectId> dir = fs().MakeDir(self_, world_->tmp_dir(), "ren", Label(), 4 << 20);
+  ASSERT_TRUE(dir.ok());
+  ObjectId reader = kernel_->BootstrapThread(Label(), Label(Level::k2), "reader");
+  std::atomic<bool> done{false};
+  std::atomic<int> listings{0};
+  std::atomic<int> failures{0};
+  std::atomic<int> torn{0};
+  std::thread rd([&] {
+    CurrentThread bind(reader);
+    FileSystem rfs(kernel_.get());
+    while (!done.load()) {
+      Result<std::vector<std::pair<std::string, ObjectId>>> list =
+          rfs.ReadDir(reader, dir.value());
+      if (!list.ok()) {
+        ++failures;
+        continue;
+      }
+      ObjectId a = kInvalidObject;
+      ObjectId b = kInvalidObject;
+      for (const auto& [name, id] : list.value()) {
+        if (name == "a") {
+          a = id;
+        } else if (name == "b") {
+          b = id;
+        }
+      }
+      if (a != kInvalidObject && a == b) {
+        ++torn;
+      }
+      ++listings;
+    }
+  });
+  int writer_failures = 0;
+  for (int i = 0; i < 1000 && writer_failures == 0; ++i) {
+    writer_failures += !fs().Create(self_, dir.value(), "a", Label(), 4096).ok();
+    writer_failures += fs().Rename(self_, dir.value(), "a", "b") != Status::kOk;
+  }
+  done = true;
+  rd.join();
+  EXPECT_EQ(writer_failures, 0);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(torn.load(), 0) << "of " << listings.load() << " listings";
+  EXPECT_GT(listings.load(), 0);
 }
 
 }  // namespace
