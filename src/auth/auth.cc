@@ -352,13 +352,19 @@ void CheckGateEntry(GateCall& call) {
   }
   bool ok = false;
   // Retry bound: per logged setup invocation (the retry segment is fresh
-  // per session), at most kRetryLimit guesses.
+  // per session), at most kRetryLimit guesses. A guess is claimed by CAS on
+  // the counter, so concurrent attempts cannot spend the same one.
   ContainerEntry retry{session_ct, retry_seg};
-  uint64_t used = 0;
-  if (k->sys_segment_read(self, retry, &used, 0, 8) == Status::kOk &&
-      used < static_cast<uint64_t>(AuthSystem::kRetryLimit)) {
-    uint64_t next = used + 1;
-    k->sys_segment_write(self, retry, &next, 0, 8);
+  bool claimed = false;
+  for (uint64_t used = 0; !claimed && used < static_cast<uint64_t>(AuthSystem::kRetryLimit);) {
+    Result<uint64_t> seen = k->sys_segment_cas(self, retry, 0, used, used + 1);
+    if (!seen.ok()) {
+      break;
+    }
+    claimed = seen.value() == used;
+    used = seen.value();
+  }
+  if (claimed) {
     std::string password = GetLocalString(k, self, kNameLen);
     uint64_t want = 0;
     if (k->sys_segment_read(self, ContainerEntry{auth_ct, pwhash_seg}, &want, 0, 8) ==

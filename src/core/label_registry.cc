@@ -78,18 +78,18 @@ LabelId LabelRegistry::Intern(const Label& l) {
     return it->second;
   }
   size_t slot = shard.count.load(std::memory_order_relaxed);
-  size_t chunk_index = slot / kChunkSize;
-  if (chunk_index >= kMaxChunks) {
-    fprintf(stderr, "LabelRegistry: shard %zu exceeded %zu entries\n",
-            shard_index, kMaxChunks * kChunkSize);
+  if (slot >= kMaxEntries) {
+    fprintf(stderr, "LabelRegistry: shard %zu exceeded %zu entries\n", shard_index,
+            kMaxEntries);
     abort();
   }
-  Entry* chunk = shard.chunks[chunk_index].load(std::memory_order_relaxed);
+  SlotPos pos = PosOf(slot);
+  Entry* chunk = shard.chunks[pos.chunk].load(std::memory_order_relaxed);
   if (chunk == nullptr) {
-    chunk = new Entry[kChunkSize];
-    shard.chunks[chunk_index].store(chunk, std::memory_order_release);
+    chunk = new Entry[ChunkCapacity(pos.chunk)];
+    shard.chunks[pos.chunk].store(chunk, std::memory_order_release);
   }
-  Entry& e = chunk[slot % kChunkSize];
+  Entry& e = chunk[pos.index];
   e.label = l;
   e.hi = std::move(hi);
   e.star = std::move(star);
@@ -113,9 +113,8 @@ const LabelRegistry::Entry& LabelRegistry::EntryOf(LabelId id) const {
     fprintf(stderr, "LabelRegistry: lookup of unpublished id %u\n", id);
     abort();
   }
-  const Entry* chunk =
-      shard.chunks[slot / kChunkSize].load(std::memory_order_acquire);
-  return chunk[slot % kChunkSize];
+  SlotPos pos = PosOf(slot);
+  return shard.chunks[pos.chunk].load(std::memory_order_acquire)[pos.index];
 }
 
 bool LabelRegistry::Known(LabelId id) const {
@@ -302,9 +301,9 @@ void LabelRegistry::EnumerateSince(
     size_t from = i < mark.size() ? mark[i] : 0;
     size_t upto = shard.count.load(std::memory_order_acquire);
     for (size_t slot = from; slot < upto; ++slot) {
-      const Entry* chunk =
-          shard.chunks[slot / kChunkSize].load(std::memory_order_acquire);
-      fn(MakeId(i, slot), chunk[slot % kChunkSize].label);
+      SlotPos pos = PosOf(slot);
+      fn(MakeId(i, slot),
+         shard.chunks[pos.chunk].load(std::memory_order_acquire)[pos.index].label);
     }
   }
 }

@@ -177,12 +177,28 @@ class LabelRegistry {
     Entry() = default;
   };
 
-  // Append-only chunked entry storage: slot s lives in
-  // chunks[s / kChunkSize][s % kChunkSize]. Chunks are allocated on
-  // demand, published with a release store, and never freed or moved
-  // while the registry lives — EntryOf needs no lock and no epoch guard.
-  static constexpr size_t kChunkSize = 256;
-  static constexpr size_t kMaxChunks = 4096;  // 1M labels per shard
+  // Append-only chunked entry storage whose size follows its contents:
+  // chunk k holds 8 << k entries, so a shard holding n labels owns under
+  // 2n + 8 entry slots behind a directory of kMaxChunks pointers. Chunks
+  // are allocated on demand, published with a release store, and never
+  // freed or moved while the registry lives — EntryOf needs no lock and no
+  // epoch guard.
+  static constexpr size_t kFirstChunkBits = 3;           // chunk 0: 8 entries
+  static constexpr size_t kMaxEntries = size_t{1} << 20;  // per shard
+  static constexpr size_t kMaxChunks = 18;
+  static_assert((((size_t{1} << kMaxChunks) - 1) << kFirstChunkBits) >= kMaxEntries,
+                "the chunk directory must reach kMaxEntries");
+  struct SlotPos {
+    size_t chunk;
+    size_t index;  // within the chunk
+  };
+  // Chunk k starts at slot 8 * (2^k - 1): slot + 8 lies in [8 << k, 16 << k).
+  static SlotPos PosOf(size_t slot) {
+    uint64_t v = uint64_t{slot} + (uint64_t{1} << kFirstChunkBits);
+    size_t top = 63 - static_cast<size_t>(__builtin_clzll(v));
+    return SlotPos{top - kFirstChunkBits, static_cast<size_t>(v - (uint64_t{1} << top))};
+  }
+  static size_t ChunkCapacity(size_t chunk) { return size_t{1} << (chunk + kFirstChunkBits); }
 
   struct InternShard {
     mutable SharedMutex mu;  // guards `ids` and interning writers
@@ -209,7 +225,8 @@ class LabelRegistry {
     const size_t capacity;  // power of two
     std::unique_ptr<MemoSlot[]> slots;
   };
-  static constexpr size_t kMemoInitCapacity = 256;
+  // Memo tables start small and double at load ½ (MemoInsertLocked).
+  static constexpr size_t kMemoInitCapacity = 16;
 
   struct ResultShard {
     Mutex mu;  // memo writers only; readers never touch it

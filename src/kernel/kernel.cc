@@ -132,19 +132,24 @@ bool Kernel::HasGateEntry(const std::string& name) const {
   return gate_entries_.count(name) > 0;
 }
 
-uint64_t Kernel::thread_syscall_count(ObjectId t) const {
+std::pair<uint64_t, uint64_t> Kernel::ThreadCounts(ObjectId t) const {
   // A kernel thread's syscalls may have been charged from several host
   // threads (each charging into its own slot), so sum every slot's entry.
-  uint64_t n = 0;
+  std::pair<uint64_t, uint64_t> n{0, 0};
   for (CountSlot& slot : count_slots_) {
     MutexLock lock(&slot.mu);
     auto it = slot.counts.find(t);
     if (it != slot.counts.end()) {
-      n += it->second;
+      n.first += it->second.first;
+      n.second += it->second.second;
     }
   }
   return n;
 }
+
+uint64_t Kernel::thread_syscall_count(ObjectId t) const { return ThreadCounts(t).first; }
+
+uint64_t Kernel::thread_entry_count(ObjectId t) const { return ThreadCounts(t).second; }
 
 uint64_t Kernel::syscall_count() const {
   // The former global atomic is folded into the count slots: each slot's
@@ -407,7 +412,9 @@ void Kernel::CountSyscalls(ObjectId self, uint64_t n) {
   CountSlot& slot = CountSlotForCurrentThread();
   MutexLock lock(&slot.mu);
   slot.total += n;
-  slot.counts[self] += n;
+  auto& c = slot.counts[self];
+  c.first += n;
+  ++c.second;
 }
 
 void Kernel::DoTraceRead(ObjectId self, uint32_t max_events, TraceReadRes* out) {

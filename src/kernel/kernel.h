@@ -156,6 +156,9 @@ class Kernel {
   // one stripe. Totals are summed over all slots on read (cold paths).
   uint64_t syscall_count() const;
   uint64_t thread_syscall_count(ObjectId t) const;
+  // Kernel round trips of thread `t`: one per SubmitBatch call (a sys_*
+  // wrapper is a one-entry batch), however many entries it carries.
+  uint64_t thread_entry_count(ObjectId t) const;
 
   // ---- Batched submission (the PR 3 descriptor ABI, syscall_abi.h) ---------
   //
@@ -248,6 +251,11 @@ class Kernel {
                           uint64_t len);
   Status sys_segment_write(ObjectId self, ContainerEntry ce, const void* buf, uint64_t off,
                            uint64_t len);
+  // Atomic compare-and-swap of the 8-byte-aligned word at `off`; returns the
+  // word observed (the swap happened iff it equals `expected`). Needs both
+  // the read and the write check, since a failed swap still reveals the word.
+  Result<uint64_t> sys_segment_cas(ObjectId self, ContainerEntry ce, uint64_t off,
+                                   uint64_t expected, uint64_t desired);
 
   // ---- Address spaces (§3.4) -----------------------------------------------
 
@@ -560,6 +568,8 @@ class Kernel {
                            uint64_t len) REQUIRES_SHARED(table_.cap());
   Status SegmentWriteLocked(ObjectId self, ContainerEntry ce, const void* buf, uint64_t off,
                             uint64_t len) REQUIRES(table_.cap());
+  Result<uint64_t> SegmentCasLocked(ObjectId self, ContainerEntry ce, uint64_t off,
+                                    uint64_t expected, uint64_t desired) REQUIRES(table_.cap());
   Result<ObjectId> AsCreateLocked(ObjectId self, const CreateSpec& spec, ObjectId new_id)
       REQUIRES(table_.cap());
   Status AsSetLocked(ObjectId self, ContainerEntry ce, const std::vector<Mapping>& mappings)
@@ -670,8 +680,10 @@ class Kernel {
   struct CountSlot {
     Mutex mu;
     uint64_t total GUARDED_BY(mu) = 0;
-    std::unordered_map<ObjectId, uint64_t> counts GUARDED_BY(mu);
+    // Per kernel thread: {syscalls, kernel round trips}.
+    std::unordered_map<ObjectId, std::pair<uint64_t, uint64_t>> counts GUARDED_BY(mu);
   };
+  std::pair<uint64_t, uint64_t> ThreadCounts(ObjectId t) const;
   CountSlot& CountSlotForCurrentThread() const {
     return count_slots_[EpochDomain::ThreadSlot() & (kCountSlots - 1)];
   }

@@ -101,7 +101,7 @@ Kernel::BatchPlan Kernel::PlanOf(ObjectId self, const SyscallReq& req) {
           ids({self, r.ce.container, r.ce.object});
         } else if constexpr (kIsAny<T, ObjSetMetadataReq, ObjSetFixedQuotaReq,
                                     ObjSetImmutableReq, SegmentResizeReq, SegmentWriteReq,
-                                    AsSetReq>) {
+                                    SegmentCasReq, AsSetReq>) {
           ids({self, r.ce.container, r.ce.object});
           plan.mutates = true;
         } else if constexpr (std::is_same_v<T, SelfSetAsReq>) {
@@ -239,6 +239,9 @@ void Kernel::ExecLocked(ObjectId self, const SyscallReq& req, SyscallRes* out,
           *out = SegmentReadRes{SegmentReadLocked(self, r.ce, r.buf, r.off, r.len)};
         } else if constexpr (std::is_same_v<T, SegmentWriteReq>) {
           *out = SegmentWriteRes{SegmentWriteLocked(self, r.ce, r.buf, r.off, r.len)};
+        } else if constexpr (std::is_same_v<T, SegmentCasReq>) {
+          Result<uint64_t> v = SegmentCasLocked(self, r.ce, r.off, r.expected, r.desired);
+          *out = SegmentCasRes{v.status(), v.ok() ? v.value() : 0};
         } else if constexpr (std::is_same_v<T, AsCreateReq>) {
           Result<ObjectId> v = AsCreateLocked(self, r.spec, nid);
           *out = AsCreateRes{v.status(), v.ok() ? v.value() : kInvalidObject};
@@ -620,6 +623,13 @@ Status Kernel::sys_segment_read(ObjectId self, ContainerEntry ce, void* buf, uin
 Status Kernel::sys_segment_write(ObjectId self, ContainerEntry ce, const void* buf,
                                  uint64_t off, uint64_t len) {
   return SubmitOne<SegmentWriteRes>(this, self, SegmentWriteReq{ce, buf, off, len}).status;
+}
+
+Result<uint64_t> Kernel::sys_segment_cas(ObjectId self, ContainerEntry ce, uint64_t off,
+                                         uint64_t expected, uint64_t desired) {
+  SegmentCasRes r =
+      SubmitOne<SegmentCasRes>(this, self, SegmentCasReq{ce, off, expected, desired});
+  return ToResult(r.status, std::move(r.observed));
 }
 
 Result<ObjectId> Kernel::sys_as_create(ObjectId self, const CreateSpec& spec) {

@@ -208,6 +208,43 @@ Status Kernel::SegmentWriteLocked(ObjectId self, ContainerEntry ce, const void* 
   return Status::kOk;
 }
 
+Result<uint64_t> Kernel::SegmentCasLocked(ObjectId self, ContainerEntry ce, uint64_t off,
+                                          uint64_t expected, uint64_t desired) {
+  Thread* t = GetThread(self);
+  if (t == nullptr || t->halted()) {
+    return Status::kHalted;
+  }
+  Result<Object*> o = ResolveEntry(*t, ce);
+  if (!o.ok()) {
+    return o.status();
+  }
+  if (o.value()->type() != ObjectType::kSegment) {
+    return Status::kWrongType;
+  }
+  Segment* s = static_cast<Segment*>(o.value());
+  // Both checks, whatever the outcome: a failed swap still reveals the word.
+  if (!CanObserve(*t, *s)) {
+    return Status::kLabelCheckFailed;
+  }
+  Status ms = CheckModify(*t, *s);
+  if (ms != Status::kOk) {
+    return ms;
+  }
+  if (off % 8 != 0) {
+    return Status::kInvalidArg;
+  }
+  if (!RangeOk(off, 8, s->bytes().size())) {
+    return Status::kRange;
+  }
+  uint64_t observed;
+  memcpy(&observed, s->bytes().data() + off, 8);
+  if (observed == expected) {
+    memcpy(s->bytes().data() + off, &desired, 8);
+    MarkDirty(s->id());
+  }
+  return observed;
+}
+
 // ---- address spaces -------------------------------------------------------------
 
 Result<ObjectId> Kernel::AsCreateLocked(ObjectId self, const CreateSpec& spec,

@@ -22,7 +22,7 @@ constexpr const char* kSyscallKindNames[] = {
     "as_access", "gate_create", "gate_invoke", "gate_get_closure",
     "futex_wait", "futex_wake", "net_mac_addr", "net_transmit",
     "net_receive", "net_wait", "console_write", "sync", "sync_object",
-    "sync_pages", "trace_read",
+    "sync_pages", "trace_read", "segment_cas",
 };
 static_assert(sizeof(kSyscallKindNames) / sizeof(kSyscallKindNames[0]) ==
                   kNumSyscallKinds,

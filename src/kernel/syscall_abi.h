@@ -164,6 +164,17 @@ struct SegmentWriteReq {
   uint64_t off = 0;
   uint64_t len = 0;
 };
+// Atomic compare-and-swap of the 8-byte-aligned word at `off`: stores
+// `desired` iff the word equals `expected`. The completion carries the word
+// observed before the swap, so the caller tells success (observed ==
+// expected) from contention. The stand-in for the hardware atomics HiStar's
+// library runs on mapped segment memory (§4.1): user mutexes live on it.
+struct SegmentCasReq {
+  ContainerEntry ce;
+  uint64_t off = 0;
+  uint64_t expected = 0;
+  uint64_t desired = 0;
+};
 
 // Address spaces (§3.4)
 struct AsCreateReq {
@@ -385,6 +396,10 @@ struct SegmentReadRes {
 struct SegmentWriteRes {
   Status status = Status::kInvalidArg;
 };
+struct SegmentCasRes {
+  Status status = Status::kInvalidArg;
+  uint64_t observed = 0;
+};
 struct AsCreateRes {
   Status status = Status::kInvalidArg;
   ObjectId id = kInvalidObject;
@@ -485,7 +500,7 @@ using SyscallReq = std::variant<
     SegmentResizeReq, SegmentGetLenReq, SegmentReadReq, SegmentWriteReq, AsCreateReq, AsSetReq,
     AsGetReq, AsAccessReq, GateCreateReq, GateInvokeReq, GateGetClosureReq, FutexWaitReq,
     FutexWakeReq, NetMacAddrReq, NetTransmitReq, NetReceiveReq, NetWaitReq, ConsoleWriteReq,
-    SyncReq, SyncObjectReq, SyncPagesReq, TraceReadReq>;
+    SyncReq, SyncObjectReq, SyncPagesReq, TraceReadReq, SegmentCasReq>;
 
 using SyscallRes = std::variant<
     std::monostate, CatCreateRes, SelfSetLabelRes, SelfSetClearanceRes, SelfGetLabelRes,
@@ -497,7 +512,8 @@ using SyscallRes = std::variant<
     SegmentCreateRes, SegmentCopyRes, SegmentResizeRes, SegmentGetLenRes, SegmentReadRes,
     SegmentWriteRes, AsCreateRes, AsSetRes, AsGetRes, AsAccessRes, GateCreateRes, GateInvokeRes,
     GateGetClosureRes, FutexWaitRes, FutexWakeRes, NetMacAddrRes, NetTransmitRes, NetReceiveRes,
-    NetWaitRes, ConsoleWriteRes, SyncRes, SyncObjectRes, SyncPagesRes, TraceReadRes>;
+    NetWaitRes, ConsoleWriteRes, SyncRes, SyncObjectRes, SyncPagesRes, TraceReadRes,
+    SegmentCasRes>;
 
 inline constexpr size_t kNumSyscallKinds = std::variant_size_v<SyscallReq>;
 static_assert(std::variant_size_v<SyscallRes> == kNumSyscallKinds + 1,

@@ -1,5 +1,6 @@
 #include "src/net/netd.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/core/label_memo.h"
@@ -34,6 +35,10 @@ constexpr uint8_t kMsgFin = 4;
 constexpr uint16_t kMss = 1400;
 // Data frames per tx-ring read in DrainTx.
 constexpr uint64_t kTxBurstFrames = 16;
+// Connect waits kConnectSlices × kSynResendMs (2 s) for the SYN-ACK and
+// resends its SYN at the start of each slice.
+constexpr uint32_t kSynResendMs = 100;
+constexpr int kConnectSlices = 20;
 
 // Stream header after the 14-byte frame header:
 // [type u8][sport u16][dport u16][len u16] = 7 bytes.
@@ -349,10 +354,17 @@ uint64_t NetDaemon::CtlOp(ObjectId self, uint64_t op, uint64_t a, uint64_t b, ui
       s->peer = UnpackMac(a);
       s->peer_port = static_cast<uint16_t>(b);
       s->local_port = static_cast<uint16_t>(40000 + next_sock_);
-      SendFrame(s->peer, kMsgSyn, s->local_port, s->peer_port, nullptr, 0);
-      if (!s->cv.WaitFor(mu_, std::chrono::milliseconds(2000), [s] {
-            return s->state == Socket::State::kEstablished;
-          })) {
+      // A SYN that reaches the peer before it listens is dropped there, so
+      // resend one per slice of the 2 s wait; the listener ignores copies
+      // of a SYN it already holds or has accepted.
+      bool established = false;
+      for (int slice = 0; slice < kConnectSlices && !established; ++slice) {
+        SendFrame(s->peer, kMsgSyn, s->local_port, s->peer_port, nullptr, 0);
+        established = s->cv.WaitFor(mu_, std::chrono::milliseconds(kSynResendMs), [s] {
+          return s->state == Socket::State::kEstablished;
+        });
+      }
+      if (!established) {
         return 0;
       }
       ContainerEntry seg{ids_.proc_ct, s->seg};
@@ -599,10 +611,19 @@ void NetDaemon::HandleFrame(const std::vector<uint8_t>& frame) {
   MutexLock lock(&mu_);
   switch (type) {
     case kMsgSyn: {
+      const std::pair<MacAddr, uint16_t> peer(src, sport);
+      for (auto& [id, s] : sockets_) {
+        if (s->state == Socket::State::kEstablished && s->local_port == dport &&
+            s->peer == src && s->peer_port == sport) {
+          return;  // a resent SYN of a connection already accepted
+        }
+      }
       for (auto& [id, s] : sockets_) {
         if (s->state == Socket::State::kListening && s->local_port == dport) {
-          s->backlog.emplace_back(src, sport);
-          s->cv.NotifyAll();
+          if (std::find(s->backlog.begin(), s->backlog.end(), peer) == s->backlog.end()) {
+            s->backlog.push_back(peer);
+            s->cv.NotifyAll();
+          }
           return;
         }
       }

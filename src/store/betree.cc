@@ -208,8 +208,6 @@ void OverlayBuffer(const MsgBuffer& b,
       case MsgKind::kDelete:
         eff->erase(id);
         break;
-      case MsgKind::kMapUpdate:
-        break;  // metadata-only: image bytes unchanged
       case MsgKind::kLabelDelta:
         break;  // never routed into the tree
     }
@@ -337,13 +335,6 @@ void BetreeEngine::ApplyToLeaf(Node* leaf, std::map<uint64_t, Msg>&& msgs) {
       case MsgKind::kDelete:
         if (match) {
           ++it;  // dropped
-        }
-        break;
-      case MsgKind::kMapUpdate:
-        if (match) {
-          it->meta_len = std::min<uint64_t>(m.meta_len, it->bytes.size());
-          out.push_back(std::move(*it));
-          ++it;
         }
         break;
       case MsgKind::kLabelDelta:
@@ -607,34 +598,19 @@ void BetreeEngine::OnSectionWritten(bool base) {
 
 BetreeEngine::Lookup BetreeEngine::Find(uint64_t id) {
   Lookup lk;
-  // Scan newest → oldest. A kMapUpdate only renames the metadata prefix, so
-  // it is noted and the scan continues to the layer holding the image.
-  auto consider = [&lk](const Msg& m) -> bool {
-    if (m.kind == MsgKind::kMapUpdate) {
-      if (lk.map_patch == nullptr) {
-        lk.map_patch = &m;
-      }
-      return false;
-    }
-    lk.msg = &m;
-    return true;
-  };
-  bool done = false;
+  // Scan newest → oldest; the first message found is the freshest state.
   for (const MsgBuffer* b : {&pending_, &committed_}) {
-    if (done) {
-      break;
-    }
     auto it = b->objects().find(id);
-    if (it != b->objects().end()) {
-      done = consider(it->second);
+    if (lk.msg == nullptr && it != b->objects().end()) {
+      lk.msg = &it->second;
     }
   }
   Node* cur = root_.get();
   while (cur != nullptr && cur->level > 0) {
-    if (!done) {
+    if (lk.msg == nullptr) {
       auto bit = cur->buffer.objects().find(id);
       if (bit != cur->buffer.objects().end()) {
-        done = consider(bit->second);
+        lk.msg = &bit->second;
       }
     }
     cur = cur->children[RouteChild(cur, id)].get();
@@ -655,12 +631,8 @@ Status BetreeEngine::FlushPages(ObjectId id, uint64_t offset,
   }
   if (lk.msg != nullptr && lk.msg->kind == MsgKind::kUpsert) {
     // The freshest image is a staged message: patch a copy and restage it —
-    // the pages become durable with this commit's section. A newer metadata
-    // patch folds into the restaged copy.
+    // the pages become durable with this commit's section.
     Msg patched(*lk.msg);
-    if (lk.map_patch != nullptr) {
-      patched.meta_len = lk.map_patch->meta_len;
-    }
     uint64_t meta = std::min<uint64_t>(patched.meta_len, patched.bytes.size());
     patched.meta_len = meta;
     uint64_t capacity = patched.bytes.size() - meta;
@@ -681,9 +653,6 @@ Status BetreeEngine::FlushPages(ObjectId id, uint64_t offset,
   }
   Node::Entry& e = lk.leaf->entries[static_cast<size_t>(lk.entry)];
   uint64_t meta = std::min<uint64_t>(e.meta_len, e.bytes.size());
-  if (lk.map_patch != nullptr) {
-    meta = std::min<uint64_t>(lk.map_patch->meta_len, e.bytes.size());
-  }
   uint64_t capacity = e.bytes.size() - meta;
   if (offset >= capacity) {
     return Status::kOk;
@@ -692,9 +661,9 @@ Status BetreeEngine::FlushPages(ObjectId id, uint64_t offset,
   if (n == 0) {
     return Status::kOk;
   }
-  if (lk.map_patch != nullptr || lk.leaf->dirty || lk.leaf->extent.length == 0) {
-    // No valid on-disk home for these bytes (unflushed leaf, or a buffered
-    // metadata patch changes the layout): stage the patched image instead.
+  if (lk.leaf->dirty || lk.leaf->extent.length == 0) {
+    // No valid on-disk home for these bytes (an unflushed leaf): stage the
+    // patched image instead.
     Msg m;
     m.kind = MsgKind::kUpsert;
     m.id = id;

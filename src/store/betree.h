@@ -177,16 +177,12 @@ class BetreeEngine {
   Result<std::unique_ptr<Node>> ReadNode(const Extent& e, int depth);
 
   // Freshest staged message for `id`, if any: pending over committed over
-  // the interior buffers along the root→leaf path. Metadata-only messages
-  // (kMapUpdate) don't stop the scan — the newest one is reported on the
-  // side while the search continues for the image-bearing layer. Also
-  // reports the leaf (and entry index) the id routes to, when the tree has
-  // one.
+  // the interior buffers along the root→leaf path. Also reports the leaf
+  // (and entry index) the id routes to, when the tree has one.
   struct Lookup {
-    const Msg* msg = nullptr;        // newest upsert/delete message, if any
-    const Msg* map_patch = nullptr;  // newest kMapUpdate above `msg`, if any
-    Node* leaf = nullptr;            // routed leaf (nullptr on an empty tree)
-    int entry = -1;                  // index in leaf->entries, -1 if absent
+    const Msg* msg = nullptr;  // newest upsert/delete message, if any
+    Node* leaf = nullptr;      // routed leaf (nullptr on an empty tree)
+    int entry = -1;            // index in leaf->entries, -1 if absent
   };
   Lookup Find(uint64_t id);
 

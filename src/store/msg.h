@@ -3,32 +3,26 @@
 // A message is a deferred mutation of store state: instead of writing an
 // object blob to its final location, the engine stages a message in the tree
 // root's buffer, and interior nodes push batches of messages toward the
-// leaves only when a buffer fills. Four kinds:
+// leaves only when a buffer fills. Three kinds:
 //
 //   kUpsert      full object image replaces whatever the tree holds
 //   kDelete      tombstone — the object is gone (must persist past older
 //                upserts buried deeper in the tree)
 //   kLabelDelta  label-table record riding an increment section; applied to
 //                the store's label table at replay, never stored in the tree
-//   kMapUpdate   metadata-prefix resize (meta_len) without a payload image —
-//                the seam for demand-paged partial write-back (ROADMAP 5);
-//                exercised by tests, not yet generated by the store
+//
+// Kind byte 4 named a metadata-only patch that the store never produced; it
+// is retired and never reused, so ParseMsg refuses it like any unknown kind
+// and recovery of a section holding one fails with kCorrupt.
 //
 // Wire format (all little-endian, via storewire):
 //   u8 kind
 //   kUpsert:     u64 id, u64 meta_len, u32 len, u8 bytes[len]
 //   kDelete:     u64 id
 //   kLabelDelta: u32 label_id, u32 len, u8 bytes[len]
-//   kMapUpdate:  u64 id, u64 meta_len
 //
-// MsgBuffer holds one coalesced message per object id (latest wins) plus a
-// latest-wins label map. Coalescing algebra for a NEW message m over an
-// existing entry e for the same id:
-//   m upsert            → replaces e
-//   m delete            → replaces e (tombstone kept even over an upsert)
-//   m mapupdate, e upsert    → e stays an upsert with m's meta_len
-//   m mapupdate, e delete    → m dropped (object is gone)
-//   m mapupdate, no e        → kept; applies to the leaf entry at flush time
+// MsgBuffer holds one coalesced message per object id (latest wins: a newer
+// upsert or tombstone replaces the entry) plus a latest-wins label map.
 // Serialization order is labels first then objects, both ascending — replaying
 // a serialized buffer message-by-message rebuilds the identical buffer.
 #ifndef SRC_STORE_MSG_H_
@@ -48,13 +42,12 @@ enum class MsgKind : uint8_t {
   kUpsert = 1,
   kDelete = 2,
   kLabelDelta = 3,
-  kMapUpdate = 4,
 };
 
 struct Msg {
   MsgKind kind = MsgKind::kUpsert;
   uint64_t id = 0;        // object id; label id for kLabelDelta
-  uint64_t meta_len = 0;  // kUpsert / kMapUpdate
+  uint64_t meta_len = 0;  // kUpsert
   std::vector<uint8_t> bytes;  // kUpsert image / kLabelDelta label bytes
 };
 
@@ -66,8 +59,6 @@ inline size_t MsgWireBytes(const Msg& m) {
       return 1 + 8;
     case MsgKind::kLabelDelta:
       return 1 + 4 + 4 + m.bytes.size();
-    case MsgKind::kMapUpdate:
-      return 1 + 8 + 8;
   }
   return 0;
 }
@@ -88,10 +79,6 @@ inline void SerializeMsg(const Msg& m, std::vector<uint8_t>* out) {
       storewire::PutU32(out, static_cast<uint32_t>(m.id));
       storewire::PutU32(out, static_cast<uint32_t>(m.bytes.size()));
       out->insert(out->end(), m.bytes.begin(), m.bytes.end());
-      break;
-    case MsgKind::kMapUpdate:
-      storewire::PutU64(out, m.id);
-      storewire::PutU64(out, m.meta_len);
       break;
   }
 }
@@ -124,12 +111,6 @@ inline bool ParseMsg(storewire::Reader* r, Msg* out) {
       if (r->fail || !r->Bytes(&out->bytes, len)) return false;
       return true;
     }
-    case MsgKind::kMapUpdate:
-      out->kind = MsgKind::kMapUpdate;
-      out->id = r->U64();
-      out->meta_len = r->U64();
-      out->bytes.clear();
-      return !r->fail;
   }
   r->fail = true;
   return false;
@@ -160,18 +141,9 @@ class MsgBuffer {
       return;
     }
     Msg& e = it->second;
-    if (m.kind == MsgKind::kMapUpdate) {
-      if (e.kind == MsgKind::kDelete) return;  // object is gone; drop
-      if (e.kind == MsgKind::kUpsert) {        // patch the staged image
-        e.meta_len = m.meta_len < e.bytes.size() ? m.meta_len : e.bytes.size();
-        return;
-      }
-      e.meta_len = m.meta_len;  // mapupdate over mapupdate: latest wins
-      return;
-    }
     bytes_ -= MsgWireBytes(e);
     bytes_ += MsgWireBytes(m);
-    e = std::move(m);  // upsert/delete replace anything
+    e = std::move(m);
   }
 
   // Folds every message of `other` (NEWER than this buffer) in.

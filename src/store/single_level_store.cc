@@ -100,10 +100,10 @@ Status SingleLevelStore::FormatLocked() {
   log_applied_seq_ = 0;
   log_pending_ = 0;
   log_tail_.clear();
-  return WriteSuperblock();
+  return WriteSuperblock(/*blank_slot_b=*/true);
 }
 
-Status SingleLevelStore::WriteSuperblock() {
+Status SingleLevelStore::WriteSuperblock(bool blank_slot_b) {
   Superblock sb;
   sb.magic = kMagic;
   sb.generation = ++generation_;
@@ -123,7 +123,17 @@ Status SingleLevelStore::WriteSuperblock() {
   // second fault (e.g. a torn write) could then destroy it, time-traveling
   // recovery past every commit to whatever the stale slot still holds.
   uint64_t slot = which_sb_ ? 4096 : 0;
-  Status st = disk_->Write(slot, &sb, sizeof(sb));
+  Status st;
+  if (blank_slot_b) {
+    // Format: slot A and a zeroed slot-B header in ONE contiguous write, so
+    // the old store's superblock in B (a higher generation) cannot outrank
+    // the fresh one and bring the old store back on Recover.
+    std::vector<uint8_t> image(4096 + sizeof(sb), 0);
+    memcpy(image.data(), &sb, sizeof(sb));
+    st = disk_->Write(0, image.data(), image.size());
+  } else {
+    st = disk_->Write(slot, &sb, sizeof(sb));
+  }
   if (st == Status::kOk) {
     st = disk_->Flush();
   }

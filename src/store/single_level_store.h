@@ -216,7 +216,9 @@ class SingleLevelStore : public PersistTarget {
                          const std::vector<uint8_t>& pages) REQUIRES(mu_);
   Result<uint64_t> TouchObjectLocked(ObjectId id) REQUIRES(mu_);
   Status RecoverLocked(Kernel* kernel) REQUIRES(mu_);
-  Status WriteSuperblock() REQUIRES(mu_);
+  // Writes the next superblock to slot which_sb_ and flushes. Format sets
+  // blank_slot_b (with which_sb_ at slot A) to invalidate slot B as well.
+  Status WriteSuperblock(bool blank_slot_b = false) REQUIRES(mu_);
   Status ReadSuperblocks(Superblock* out) REQUIRES(mu_);
   // The single commit point: writes one checkpoint section (base if the
   // chain is empty, a base was demanded, or the engine wants one; else an

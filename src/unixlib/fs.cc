@@ -6,6 +6,7 @@
 
 #include "src/unixlib/mutex.h"
 
+
 namespace histar {
 
 void MountTable::Mount(ObjectId dir, const std::string& name, ObjectId target) {
@@ -42,8 +43,17 @@ Result<ObjectId> FileSystem::MakeRoot(ObjectId self, ObjectId parent_container,
   if (!dir.ok()) {
     return dir.status();
   }
+  Status st = FormatDirectory(self, dir.value(), label, quota);
+  if (st != Status::kOk) {
+    return st;
+  }
+  return dir.value();
+}
+
+Status FileSystem::FormatDirectory(ObjectId self, ObjectId dir, const Label& label,
+                                   uint64_t quota) {
   CreateSpec sspec;
-  sspec.container = dir.value();
+  sspec.container = dir;
   sspec.label = label;
   sspec.descrip = "dirseg";
   // The name table gets a quarter of the directory's budget, capped: a
@@ -55,11 +65,7 @@ Result<ObjectId> FileSystem::MakeRoot(ObjectId self, ObjectId parent_container,
   }
   // Stash the directory segment's id in the container metadata.
   uint64_t md[1] = {seg.value()};
-  Status st = kernel_->sys_obj_set_metadata(self, SelfEntry(dir.value()), md, sizeof(md));
-  if (st != Status::kOk) {
-    return st;
-  }
-  return dir.value();
+  return kernel_->sys_obj_set_metadata(self, SelfEntry(dir), md, sizeof(md));
 }
 
 Result<ObjectId> FileSystem::MakeDir(ObjectId self, ObjectId parent, const std::string& name,
@@ -67,15 +73,22 @@ Result<ObjectId> FileSystem::MakeDir(ObjectId self, ObjectId parent, const std::
   if (name.empty() || name.size() > kMaxFileName) {
     return Status::kInvalidArg;
   }
-  Result<ObjectId> seg = DirSegment(self, parent);
+  CreateSpec cspec;
+  cspec.container = parent;
+  cspec.label = label;
+  cspec.descrip = "dir";
+  cspec.quota = quota;
+  ObjectId dir = kInvalidObject;
+  Result<ObjectId> seg = CreateInDirectory(self, parent, ContainerCreateReq{cspec, 0}, &dir);
   if (!seg.ok()) {
     return seg.status();
   }
-  Result<ObjectId> dir = MakeRoot(self, parent, label, quota);
-  if (!dir.ok()) {
-    return dir.status();
+  Status st = FormatDirectory(self, dir, label, quota);
+  if (st != Status::kOk) {
+    kernel_->sys_container_unref(self, ContainerEntry{parent, dir});
+    return st;
   }
-  return AddEntry(self, ContainerEntry{parent, seg.value()}, name, dir.value());
+  return AddEntry(self, ContainerEntry{parent, seg.value()}, name, dir);
 }
 
 Result<ObjectId> FileSystem::Create(ObjectId self, ObjectId dir, const std::string& name,
@@ -83,38 +96,50 @@ Result<ObjectId> FileSystem::Create(ObjectId self, ObjectId dir, const std::stri
   if (name.empty() || name.size() > kMaxFileName) {
     return Status::kInvalidArg;
   }
-  Result<ObjectId> seg = DirSegment(self, dir);
-  if (!seg.ok()) {
-    return seg.status();
-  }
   CreateSpec fspec;
   fspec.container = dir;
   fspec.label = label;
   fspec.descrip = name.substr(0, kDescripLen);
   fspec.quota = quota;
-  Result<ObjectId> file = kernel_->sys_segment_create(self, fspec, 0);
-  if (!file.ok()) {
-    return file.status();
+  ObjectId file = kInvalidObject;
+  Result<ObjectId> seg = CreateInDirectory(self, dir, SegmentCreateReq{fspec, 0}, &file);
+  if (!seg.ok()) {
+    return seg.status();
   }
-  return AddEntry(self, ContainerEntry{dir, seg.value()}, name, file.value());
+  return AddEntry(self, ContainerEntry{dir, seg.value()}, name, file);
+}
+
+Result<ObjectId> FileSystem::CreateInDirectory(ObjectId self, ObjectId dir, SyscallReq create,
+                                               ObjectId* obj) {
+  SyscallReq reqs[2] = {ObjGetMetadataReq{SelfEntry(dir)}, std::move(create)};
+  SyscallRes res[2];
+  kernel_->SubmitBatch(self, reqs, res);
+  Result<ObjectId> seg = DirSegmentOf(res[0]);
+  Status made = ResStatus(res[1]);
+  if (made != Status::kOk) {
+    return seg.ok() ? made : seg.status();  // not a directory outranks the create's error
+  }
+  const auto* seg_res = std::get_if<SegmentCreateRes>(&res[1]);
+  *obj = seg_res != nullptr ? seg_res->id : std::get<ContainerCreateRes>(res[1]).id;
+  if (!seg.ok()) {
+    kernel_->sys_container_unref(self, ContainerEntry{dir, *obj});
+  }
+  return seg;
 }
 
 Result<ObjectId> FileSystem::AddEntry(ObjectId self, ContainerEntry seg, const std::string& name,
                                       ObjectId obj) {
-  Status st = Status::kLabelCheckFailed;
   SegmentMutex mu(kernel_, seg, 0);
-  if (mu.Lock(self)) {
+  DirImage img;
+  Status st = LockAndSnapshot(self, mu, seg, &img);
+  if (st == Status::kOk) {
     uint64_t slot;
-    DirSnapshot snap;
-    Result<ObjectId> existing = FindEntry(self, seg, name, &slot, &snap);
-    if (existing.ok()) {
+    if (img.Find(name, &slot) != kNoSlot) {
+      mu.Unlock(self);
       st = Status::kExists;
-    } else if (existing.status() != Status::kNotFound) {
-      st = existing.status();
     } else {
-      st = WriteEntries(self, seg, snap, {{slot, NamedEntry(obj, name)}});
+      st = WriteAndUnlock(self, mu, seg, img, {{slot, NamedEntry(obj, name)}});
     }
-    mu.Unlock(self);
   }
   if (st != Status::kOk) {
     kernel_->sys_container_unref(self, ContainerEntry{seg.container, obj});
@@ -131,19 +156,20 @@ Result<ObjectId> FileSystem::Relabel(ObjectId self, ObjectId dir, const std::str
   }
   ContainerEntry seg_ce{dir, seg.value()};
   SegmentMutex mu(kernel_, seg_ce, 0);
-  if (!mu.Lock(self)) {
-    return Status::kLabelCheckFailed;
+  DirImage img;
+  Status st = LockAndSnapshot(self, mu, seg_ce, &img);
+  if (st != Status::kOk) {
+    return st;
   }
-  uint64_t slot;
-  DirSnapshot snap;
-  Result<ObjectId> old = FindEntry(self, seg_ce, name, &slot, &snap);
-  if (!old.ok()) {
+  uint64_t slot = img.Find(name);
+  if (slot == kNoSlot) {
     mu.Unlock(self);
-    return old.status();
+    return Status::kNotFound;
   }
+  ObjectId old = img.at(slot).objid;
   // The copy carries the old quota; the kernel's copy path enforces that the
   // caller can observe the source and create at the new label.
-  Result<uint64_t> quota = kernel_->sys_obj_get_quota(self, ContainerEntry{dir, old.value()});
+  Result<uint64_t> quota = kernel_->sys_obj_get_quota(self, ContainerEntry{dir, old});
   if (!quota.ok()) {
     mu.Unlock(self);
     return quota.status();
@@ -153,34 +179,41 @@ Result<ObjectId> FileSystem::Relabel(ObjectId self, ObjectId dir, const std::str
   spec.label = new_label;
   spec.descrip = name.substr(0, kDescripLen);
   spec.quota = quota.value();
-  Result<ObjectId> copy = kernel_->sys_segment_copy(self, spec, ContainerEntry{dir, old.value()});
+  Result<ObjectId> copy = kernel_->sys_segment_copy(self, spec, ContainerEntry{dir, old});
   if (!copy.ok()) {
     mu.Unlock(self);
     return copy.status();
   }
-  Status st = WriteEntries(self, seg_ce, snap, {{slot, NamedEntry(copy.value(), name)}});
-  mu.Unlock(self);
+  st = WriteAndUnlock(self, mu, seg_ce, img, {{slot, NamedEntry(copy.value(), name)}});
   if (st != Status::kOk) {
     kernel_->sys_container_unref(self, ContainerEntry{dir, copy.value()});
     return st;
   }
   // Drop the old object: open descriptors referring to it are revoked the
   // HiStar way — the object itself ceases to exist.
-  kernel_->sys_container_unref(self, ContainerEntry{dir, old.value()});
+  kernel_->sys_container_unref(self, ContainerEntry{dir, old});
   return copy.value();
 }
 
-Result<ObjectId> FileSystem::DirSegment(ObjectId self, ObjectId dir) {
-  Result<std::vector<uint8_t>> md = kernel_->sys_obj_get_metadata(self, SelfEntry(dir));
-  if (!md.ok()) {
-    return md.status();
+Result<ObjectId> FileSystem::DirSegmentOf(const SyscallRes& metadata) {
+  const auto* md = std::get_if<ObjGetMetadataRes>(&metadata);
+  if (md == nullptr || md->status != Status::kOk) {
+    return md != nullptr ? md->status : Status::kInvalidArg;
   }
   uint64_t seg;
-  memcpy(&seg, md.value().data(), 8);
+  memcpy(&seg, md->metadata.data(), 8);
   if (seg == 0) {
     return Status::kWrongType;  // not a directory
   }
   return seg;
+}
+
+Result<ObjectId> FileSystem::DirSegment(ObjectId self, ObjectId dir) {
+  SyscallReq req = ObjGetMetadataReq{SelfEntry(dir)};
+  SyscallRes res;
+  kernel_->SubmitBatch(self, std::span<const SyscallReq>(&req, 1),
+                       std::span<SyscallRes>(&res, 1));
+  return DirSegmentOf(res);
 }
 
 FileSystem::DirEntry FileSystem::NamedEntry(ObjectId obj, const std::string& name) {
@@ -195,83 +228,87 @@ bool FileSystem::NameIs(const DirEntry& e, const std::string& name) {
   return e.in_use != 0 && strncmp(e.name, name.c_str(), sizeof(e.name)) == 0;
 }
 
-template <typename Fn>
-Status FileSystem::ScanDirRecords(ObjectId self, ContainerEntry seg, DirSnapshot* snap, Fn&& fn) {
+uint64_t FileSystem::DirImage::generation() const {
+  DirHeader h;
+  memcpy(&h, bytes.data(), sizeof(h));
+  return h.generation;
+}
+
+FileSystem::DirEntry FileSystem::DirImage::at(uint64_t slot) const {
+  DirEntry e;
+  memcpy(&e, bytes.data() + RecordOffset(slot), sizeof(e));
+  return e;
+}
+
+uint64_t FileSystem::DirImage::Find(const std::string& name, uint64_t* free_slot) const {
+  uint64_t n = slots();
+  uint64_t first_free = n;  // else append
+  for (uint64_t slot = 0; slot < n; ++slot) {
+    DirEntry e = at(slot);
+    if (NameIs(e, name)) {
+      return slot;
+    }
+    if (e.in_use == 0 && first_free == n) {
+      first_free = slot;
+    }
+  }
+  if (free_slot != nullptr) {
+    *free_slot = first_free;
+  }
+  return kNoSlot;
+}
+
+Status FileSystem::ReadImage(ObjectId self, ContainerEntry seg, uint64_t len, DirImage* img) {
+  if (len < sizeof(DirHeader)) {
+    return Status::kWrongType;  // too short to be a directory segment
+  }
+  // Directory segments only grow, so the first len bytes are still there.
+  img->bytes.resize(len);
+  return kernel_->sys_segment_read(self, seg, img->bytes.data(), 0, len);
+}
+
+Status FileSystem::Snapshot(ObjectId self, ContainerEntry seg, DirImage* img) {
   Result<uint64_t> len = kernel_->sys_segment_get_len(self, seg);
   if (!len.ok()) {
     return len.status();
   }
-  if (len.value() < sizeof(DirHeader)) {
-    return Status::kWrongType;  // too short to be a directory segment
-  }
-  // Directory segments only grow, so the first len bytes are still there.
-  std::vector<uint8_t> bytes(len.value());
-  Status st = kernel_->sys_segment_read(self, seg, bytes.data(), 0, bytes.size());
-  if (st != Status::kOk) {
-    return st;
-  }
-  if (snap != nullptr) {
-    DirHeader h;
-    memcpy(&h, bytes.data(), sizeof(h));
-    *snap = DirSnapshot{bytes.size(), h.generation};
-  }
-  uint64_t n = (bytes.size() - sizeof(DirHeader)) / sizeof(DirEntry);
-  for (uint64_t slot = 0; slot < n; ++slot) {
-    DirEntry e;
-    memcpy(&e, bytes.data() + RecordOffset(slot), sizeof(e));
-    if (!fn(slot, e)) {
-      break;
-    }
-  }
-  return Status::kOk;
+  return ReadImage(self, seg, len.value(), img);
 }
 
-Result<ObjectId> FileSystem::FindEntry(ObjectId self, ContainerEntry seg,
-                                       const std::string& name, uint64_t* slot_out,
-                                       DirSnapshot* snap) {
-  uint64_t free_slot = kNoSlot;
-  uint64_t found_slot = kNoSlot;
-  uint64_t n = 0;
-  ObjectId found = kInvalidObject;
-  Status st = ScanDirRecords(self, seg, snap, [&](uint64_t slot, const DirEntry& e) {
-    n = slot + 1;
-    if (NameIs(e, name)) {
-      found_slot = slot;
-      found = e.objid;
-      return false;  // stop: name matched
-    }
-    if (e.in_use == 0 && free_slot == kNoSlot) {
-      free_slot = slot;
-    }
-    return true;
-  });
+Status FileSystem::LockAndSnapshot(ObjectId self, SegmentMutex& mu, ContainerEntry seg,
+                                   DirImage* img) {
+  SyscallReq reqs[2] = {mu.LockReq(), SegmentGetLenReq{seg}};
+  SyscallRes res[2];
+  kernel_->SubmitBatch(self, reqs, res);
+  if (!mu.FinishLock(self, res[0])) {
+    return Status::kLabelCheckFailed;
+  }
+  Status st;
+  if (std::get<SegmentCasRes>(res[0]).observed == 0) {
+    // Locked at once, so no update ran between the CAS and the get_len.
+    const SegmentGetLenRes& len = std::get<SegmentGetLenRes>(res[1]);
+    st = len.status == Status::kOk ? ReadImage(self, seg, len.len, img) : len.status;
+  } else {
+    st = Snapshot(self, seg, img);  // the length may have grown while we waited
+  }
   if (st != Status::kOk) {
-    return st;
+    mu.Unlock(self);
   }
-  if (found != kInvalidObject) {
-    if (slot_out != nullptr) {
-      *slot_out = found_slot;
-    }
-    return found;
-  }
-  if (slot_out != nullptr) {
-    *slot_out = free_slot != kNoSlot ? free_slot : n;  // else append
-  }
-  return Status::kNotFound;
+  return st;
 }
 
-Status FileSystem::WriteEntries(ObjectId self, ContainerEntry seg, const DirSnapshot& snap,
-                                std::initializer_list<SlotWrite> writes) {
+Status FileSystem::WriteAndUnlock(ObjectId self, SegmentMutex& mu, ContainerEntry seg,
+                                  const DirImage& img, std::initializer_list<SlotWrite> writes) {
   // The generation write touches only its own 8 bytes, never the mutex word
   // at offset 0 that a waiter may be updating concurrently.
   static_assert(offsetof(DirHeader, generation) == 8);
-  uint64_t generation = snap.generation + 1;
-  uint64_t need = snap.len;
+  uint64_t generation = img.generation() + 1;
+  uint64_t need = img.bytes.size();
   for (const SlotWrite& w : writes) {
     need = std::max(need, RecordOffset(w.slot + 1));
   }
   std::vector<SyscallReq> reqs;
-  if (need > snap.len) {
+  if (need > img.bytes.size()) {
     reqs.push_back(SegmentResizeReq{seg, need});
   }
   for (const SlotWrite& w : writes) {
@@ -279,11 +316,13 @@ Status FileSystem::WriteEntries(ObjectId self, ContainerEntry seg, const DirSnap
   }
   reqs.push_back(SegmentWriteReq{seg, &generation, offsetof(DirHeader, generation),
                                  sizeof(generation)});
+  reqs.push_back(mu.UnlockReq());
   std::vector<SyscallRes> res(reqs.size());
-  Status st = kernel_->SubmitBatch(self, reqs, res);
-  for (size_t i = 0; st == Status::kOk && i < res.size(); ++i) {
-    const auto* w = std::get_if<SegmentWriteRes>(&res[i]);
-    st = w != nullptr ? w->status : std::get<SegmentResizeRes>(res[i]).status;
+  kernel_->SubmitBatch(self, reqs, res);
+  mu.FinishUnlock(self, res.back());
+  Status st = Status::kOk;
+  for (size_t i = 0; st == Status::kOk && i + 1 < res.size(); ++i) {
+    st = ResStatus(res[i]);
   }
   return st;
 }
@@ -299,7 +338,16 @@ Result<ObjectId> FileSystem::Lookup(ObjectId self, ObjectId dir, const std::stri
     return seg.status();
   }
   // No mutex: the scan's one read is a consistent snapshot.
-  return FindEntry(self, ContainerEntry{dir, seg.value()}, name, nullptr, nullptr);
+  DirImage img;
+  Status st = Snapshot(self, ContainerEntry{dir, seg.value()}, &img);
+  if (st != Status::kOk) {
+    return st;
+  }
+  uint64_t slot = img.Find(name);
+  if (slot == kNoSlot) {
+    return Status::kNotFound;
+  }
+  return img.at(slot).objid;
 }
 
 Status FileSystem::Unlink(ObjectId self, ObjectId dir, const std::string& name) {
@@ -309,22 +357,21 @@ Status FileSystem::Unlink(ObjectId self, ObjectId dir, const std::string& name) 
   }
   ContainerEntry seg_ce{dir, seg.value()};
   SegmentMutex mu(kernel_, seg_ce, 0);
-  if (!mu.Lock(self)) {
-    return Status::kLabelCheckFailed;
-  }
-  uint64_t slot;
-  DirSnapshot snap;
-  Result<ObjectId> obj = FindEntry(self, seg_ce, name, &slot, &snap);
-  if (!obj.ok()) {
-    mu.Unlock(self);
-    return obj.status();
-  }
-  Status st = WriteEntries(self, seg_ce, snap, {{slot, DirEntry{}}});
-  mu.Unlock(self);
+  DirImage img;
+  Status st = LockAndSnapshot(self, mu, seg_ce, &img);
   if (st != Status::kOk) {
     return st;
   }
-  return kernel_->sys_container_unref(self, ContainerEntry{dir, obj.value()});
+  uint64_t slot = img.Find(name);
+  if (slot == kNoSlot) {
+    mu.Unlock(self);
+    return Status::kNotFound;
+  }
+  st = WriteAndUnlock(self, mu, seg_ce, img, {{slot, DirEntry{}}});
+  if (st != Status::kOk) {
+    return st;
+  }
+  return kernel_->sys_container_unref(self, ContainerEntry{dir, img.at(slot).objid});
 }
 
 Status FileSystem::Rename(ObjectId self, ObjectId dir, const std::string& from,
@@ -338,40 +385,30 @@ Status FileSystem::Rename(ObjectId self, ObjectId dir, const std::string& from,
   }
   ContainerEntry seg_ce{dir, seg.value()};
   SegmentMutex mu(kernel_, seg_ce, 0);
-  if (!mu.Lock(self)) {
-    return Status::kLabelCheckFailed;
+  DirImage img;
+  Status st = LockAndSnapshot(self, mu, seg_ce, &img);
+  if (st != Status::kOk) {
+    return st;
   }
   // One snapshot finds both names. Renaming a name onto itself matches only
   // `from`, so it rewrites the entry in place.
-  uint64_t from_slot = kNoSlot;
-  uint64_t to_slot = kNoSlot;
-  ObjectId obj = kInvalidObject;
-  ObjectId displaced = kInvalidObject;
-  DirSnapshot snap;
-  Status st = ScanDirRecords(self, seg_ce, &snap, [&](uint64_t slot, const DirEntry& e) {
-    if (NameIs(e, from)) {
-      from_slot = slot;
-      obj = e.objid;
-    } else if (NameIs(e, to)) {
-      to_slot = slot;
-      displaced = e.objid;
-    }
-    return true;
-  });
-  if (st != Status::kOk || from_slot == kNoSlot) {
+  uint64_t from_slot = img.Find(from);
+  if (from_slot == kNoSlot) {
     mu.Unlock(self);
-    return st != Status::kOk ? st : Status::kNotFound;
+    return Status::kNotFound;
   }
+  ObjectId obj = img.at(from_slot).objid;
+  uint64_t to_slot = from == to ? kNoSlot : img.Find(to);
+  ObjectId displaced = to_slot == kNoSlot ? kInvalidObject : img.at(to_slot).objid;
   if (to_slot == kNoSlot) {
-    st = WriteEntries(self, seg_ce, snap, {{from_slot, NamedEntry(obj, to)}});
+    st = WriteAndUnlock(self, mu, seg_ce, img, {{from_slot, NamedEntry(obj, to)}});
   } else {
     // `to` exists and is replaced (Unix semantics). Binding it and freeing
     // `from` is one atomic batch, so no reader sees both names bound to one
     // object; the displaced object is unreferenced after the switch.
-    st = WriteEntries(self, seg_ce, snap,
-                      {{to_slot, NamedEntry(obj, to)}, {from_slot, DirEntry{}}});
+    st = WriteAndUnlock(self, mu, seg_ce, img,
+                        {{to_slot, NamedEntry(obj, to)}, {from_slot, DirEntry{}}});
   }
-  mu.Unlock(self);
   if (st == Status::kOk && to_slot != kNoSlot && displaced != obj) {
     kernel_->sys_container_unref(self, ContainerEntry{dir, displaced});
   }
@@ -384,18 +421,17 @@ Result<std::vector<std::pair<std::string, ObjectId>>> FileSystem::ReadDir(Object
   if (!seg.ok()) {
     return seg.status();
   }
-  std::vector<std::pair<std::string, ObjectId>> out;
-  Status st = ScanDirRecords(self, ContainerEntry{dir, seg.value()}, nullptr,
-                             [&](uint64_t, const DirEntry& e) {
-                               if (e.in_use != 0) {
-                                 out.emplace_back(
-                                     std::string(e.name, strnlen(e.name, sizeof(e.name))),
-                                     e.objid);
-                               }
-                               return true;
-                             });
+  DirImage img;
+  Status st = Snapshot(self, ContainerEntry{dir, seg.value()}, &img);
   if (st != Status::kOk) {
     return st;
+  }
+  std::vector<std::pair<std::string, ObjectId>> out;
+  for (uint64_t slot = 0; slot < img.slots(); ++slot) {
+    DirEntry e = img.at(slot);
+    if (e.in_use != 0) {
+      out.emplace_back(std::string(e.name, strnlen(e.name, sizeof(e.name))), e.objid);
+    }
   }
   return out;
 }
@@ -480,28 +516,35 @@ Status FileSystem::WriteAt(ObjectId self, ObjectId dir, ObjectId file, const voi
   if (!size.ok()) {
     return size.status();
   }
-  if (off + len > size.value()) {
-    Status st = kernel_->sys_segment_resize(self, ce, off + len);
-    if (st == Status::kQuotaExceeded) {
-      // Grow the file's quota out of the directory's pool, with headroom so
-      // steady appends don't pay a quota_move per write.
-      Result<uint64_t> q = kernel_->sys_obj_get_quota(self, ce);
-      if (!q.ok()) {
-        return q.status();
-      }
-      uint64_t need = off + len + kObjectOverheadBytes;
-      uint64_t grow = std::max<uint64_t>(need - q.value(), need / 2);
-      st = kernel_->sys_quota_move(self, dir, file, static_cast<int64_t>(grow));
-      if (st != Status::kOk) {
-        return st;
-      }
-      st = kernel_->sys_segment_resize(self, ce, off + len);
-    }
-    if (st != Status::kOk) {
-      return st;
-    }
+  if (off + len <= size.value()) {
+    return kernel_->sys_segment_write(self, ce, buf, off, len);
   }
-  return kernel_->sys_segment_write(self, ce, buf, off, len);
+  Status st = GrowAndWrite(self, ce, buf, off, len);
+  if (st != Status::kQuotaExceeded) {
+    return st;
+  }
+  // Grow the file's quota out of the directory's pool, with headroom so
+  // steady appends don't pay a quota_move per write.
+  Result<uint64_t> q = kernel_->sys_obj_get_quota(self, ce);
+  if (!q.ok()) {
+    return q.status();
+  }
+  uint64_t need = off + len + kObjectOverheadBytes;
+  uint64_t grow = std::max<uint64_t>(need - q.value(), need / 2);
+  st = kernel_->sys_quota_move(self, dir, file, static_cast<int64_t>(grow));
+  if (st != Status::kOk) {
+    return st;
+  }
+  return GrowAndWrite(self, ce, buf, off, len);
+}
+
+Status FileSystem::GrowAndWrite(ObjectId self, ContainerEntry ce, const void* buf, uint64_t off,
+                                uint64_t len) {
+  SyscallReq reqs[2] = {SegmentResizeReq{ce, off + len}, SegmentWriteReq{ce, buf, off, len}};
+  SyscallRes res[2];
+  kernel_->SubmitBatch(self, reqs, res);
+  Status st = ResStatus(res[0]);
+  return st != Status::kOk ? st : ResStatus(res[1]);
 }
 
 Status FileSystem::Truncate(ObjectId self, ObjectId dir, ObjectId file, uint64_t len) {

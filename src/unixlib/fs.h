@@ -9,13 +9,15 @@
 //   header: [mutex u64][generation u64][busy u64][count u64]
 //   entry:  [objid u64][in_use u64][name char[48]]   (64 bytes each)
 //
-// Directory updates take the segment mutex, then write their entries and
-// bump the generation in ONE SubmitBatch group, which the kernel runs
-// atomically against other threads' syscalls and against sys_sync. So a
-// reader — including one who cannot write the directory, and so cannot take
-// the mutex — gets a consistent snapshot from ONE sys_segment_read of the
-// whole segment, as HiStar's library scans a mapped directory segment
-// (paper §5.1). Nothing writes the busy word any more; readers ignore it.
+// Create is four kernel round trips, whatever the directory's size:
+// [directory metadata, create the file], [CAS the segment mutex, get_len],
+// ONE sys_segment_read of the whole segment, and [resize?, entry writes,
+// generation bump, CAS unlock]. MakeDir, Unlink, Rename and Relabel have
+// the same shape around the mutex. The last group runs atomically against other threads' syscalls and against
+// sys_sync, so a reader — including one who cannot write the directory,
+// and so cannot take the mutex — gets a consistent snapshot from one read,
+// as HiStar's library scans a mapped directory segment (paper §5.1).
+// Nothing writes the busy word any more; readers ignore it.
 //
 // The directory segment's object ID is stored in the first 8 bytes of the
 // directory container's metadata. File modification times live in the file
@@ -31,6 +33,8 @@
 #include "src/kernel/kernel.h"
 
 namespace histar {
+
+class SegmentMutex;
 
 inline constexpr size_t kMaxFileName = 47;
 inline constexpr uint64_t kDefaultFileQuota = 64 * 1024;
@@ -141,11 +145,15 @@ class FileSystem {
   static_assert(sizeof(DirHeader) == 32);
   static_assert(sizeof(DirEntry) == 64);
 
-  // What a scan under the mutex learned that the update after it needs: the
-  // segment's length (does the batch resize?) and the generation to bump.
-  struct DirSnapshot {
-    uint64_t len = 0;
-    uint64_t generation = 0;
+  // A directory segment as of one read: [DirHeader | records].
+  struct DirImage {
+    std::vector<uint8_t> bytes;
+    uint64_t generation() const;
+    uint64_t slots() const { return (bytes.size() - sizeof(DirHeader)) / sizeof(DirEntry); }
+    DirEntry at(uint64_t slot) const;
+    // Slot named `name` (kNoSlot if none) and the slot a new entry would
+    // take: the first free one, else the append slot.
+    uint64_t Find(const std::string& name, uint64_t* free_slot = nullptr) const;
   };
   struct SlotWrite {
     uint64_t slot;
@@ -158,30 +166,33 @@ class FileSystem {
   }
   static DirEntry NamedEntry(ObjectId obj, const std::string& name);
   static bool NameIs(const DirEntry& e, const std::string& name);  // in use and named `name`
+  // The directory segment named by a directory container's metadata.
+  static Result<ObjectId> DirSegmentOf(const SyscallRes& metadata);
 
   // Finds the directory segment for container `dir` (from its metadata).
   Result<ObjectId> DirSegment(ObjectId self, ObjectId dir);
 
-  // Reads all of `seg` — [DirHeader | records] — with sys_segment_get_len
-  // and ONE sys_segment_read. The read runs under the segment's shard lock
-  // and every update is one atomic batch, so the bytes are a consistent
-  // snapshot with no retry. Then invokes fn(slot, entry) on each record; fn
-  // returns false to stop early. `snap` (if non-null) receives the length
-  // and generation. Shared by FindEntry, Rename and ReadDir so the scans
-  // cannot drift. Defined in fs.cc (all users live there).
-  template <typename Fn>
-  Status ScanDirRecords(ObjectId self, ContainerEntry seg, DirSnapshot* snap, Fn&& fn);
+  // Creates `dir`'s directory segment and records it in `dir`'s metadata.
+  Status FormatDirectory(ObjectId self, ObjectId dir, const Label& label, uint64_t quota);
 
-  // Name → object id; `slot_out` receives the matching slot, else the first
-  // free one (or the append slot).
-  Result<ObjectId> FindEntry(ObjectId self, ContainerEntry seg, const std::string& name,
-                             uint64_t* slot_out, DirSnapshot* snap);
+  // Reads the first `len` bytes of `seg` in ONE sys_segment_read. The read
+  // runs under the segment's shard lock and every update is one atomic
+  // batch, so the image is a consistent snapshot with no retry.
+  Status ReadImage(ObjectId self, ContainerEntry seg, uint64_t len, DirImage* img);
+  // sys_segment_get_len, then ReadImage: the lock-free readers' scan.
+  Status Snapshot(ObjectId self, ContainerEntry seg, DirImage* img);
 
-  // One directory update as ONE SubmitBatch group: a resize when a slot
-  // lies past the snapshot's end, the entry writes, and the generation
-  // bump. The caller holds the mutex and scanned `snap` under it.
-  Status WriteEntries(ObjectId self, ContainerEntry seg, const DirSnapshot& snap,
-                      std::initializer_list<SlotWrite> writes);
+  // Takes `mu` (the mutex word at offset 0 of `seg`) and snapshots `seg`
+  // in two kernel round trips: [CAS lock, get_len], then the read. On any
+  // failure the mutex is not held on return.
+  Status LockAndSnapshot(ObjectId self, SegmentMutex& mu, ContainerEntry seg, DirImage* img);
+
+  // One directory update and the unlock as ONE SubmitBatch group: a resize
+  // when a slot lies past the image's end, the entry writes, the generation
+  // bump and the CAS that releases `mu` (taken by LockAndSnapshot, which
+  // produced `img`). Returns the first failing write's status.
+  Status WriteAndUnlock(ObjectId self, SegmentMutex& mu, ContainerEntry seg,
+                        const DirImage& img, std::initializer_list<SlotWrite> writes);
 
   // Create/MakeDir's tail: names `obj` (just created in seg.container) in
   // the directory, deciding under the mutex whether the name is free. On
@@ -189,6 +200,17 @@ class FileSystem {
   // orphaned.
   Result<ObjectId> AddEntry(ObjectId self, ContainerEntry seg, const std::string& name,
                             ObjectId obj);
+
+  // Create/MakeDir's head, ONE round trip: [`dir`'s metadata, `create`].
+  // Returns the directory segment and sets *obj to the new object; if
+  // `dir` is no directory (or the metadata read fails) the object is
+  // unreferenced again.
+  Result<ObjectId> CreateInDirectory(ObjectId self, ObjectId dir, SyscallReq create,
+                                     ObjectId* obj);
+
+  // Resize to off + len and write, as one batch.
+  Status GrowAndWrite(ObjectId self, ContainerEntry ce, const void* buf, uint64_t off,
+                      uint64_t len);
 
   Kernel* kernel_;
   MountTable mounts_;

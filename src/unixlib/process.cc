@@ -1,6 +1,7 @@
 #include "src/unixlib/process.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 
 #include "src/core/label_memo.h"
@@ -86,6 +87,27 @@ struct PipeHeader {
 constexpr uint64_t kPipeWposOffset = 16;
 constexpr uint64_t kPipeRposOffset = 8;
 constexpr uint64_t kPipeDataOffset = sizeof(PipeHeader);
+
+// Adds `delta` to the pipe's count of open read or write ends, under the
+// pipe mutex. Commits only that count, never the whole header: the
+// header's first word is the mutex, which contenders CAS while we hold it.
+// Returns false if the mutex could not be taken.
+bool CountPipeEnd(Kernel* k, ObjectId self, ContainerEntry buf, bool write_end, int delta) {
+  SegmentMutex mu(k, buf, 0);
+  if (!mu.Lock(self)) {
+    return false;
+  }
+  PipeHeader h;
+  if (k->sys_segment_read(self, buf, &h, 0, sizeof(h)) == Status::kOk) {
+    uint64_t open = (write_end ? h.writers_open : h.readers_open) + delta;
+    k->sys_segment_write(self, buf, &open,
+                         write_end ? offsetof(PipeHeader, writers_open)
+                                   : offsetof(PipeHeader, readers_open),
+                         8);
+  }
+  mu.Unlock(self);
+  return true;
+}
 
 }  // namespace
 
@@ -224,17 +246,7 @@ Status FdTable::Close(ObjectId self, int fd) {
   }
   if (st.value().type == static_cast<uint64_t>(FdType::kPipe)) {
     ContainerEntry buf{st.value().buf_ct, st.value().obj};
-    SegmentMutex mu(kernel_, buf, 0);
-    if (mu.Lock(self)) {
-      PipeHeader h;
-      kernel_->sys_segment_read(self, buf, &h, 0, sizeof(h));
-      if (st.value().write_end != 0) {
-        --h.writers_open;
-      } else {
-        --h.readers_open;
-      }
-      kernel_->sys_segment_write(self, buf, &h, 0, sizeof(h));
-      mu.Unlock(self);
+    if (CountPipeEnd(kernel_, self, buf, st.value().write_end != 0, -1)) {
       kernel_->sys_futex_wake(self, buf, kPipeWposOffset, UINT32_MAX);
       kernel_->sys_futex_wake(self, buf, kPipeRposOffset, UINT32_MAX);
     }
@@ -266,18 +278,7 @@ Result<int> FdTable::Adopt(ObjectId self, ContainerEntry fd_seg) {
   Result<FdSegState> state = Load(self, fd);
   if (state.ok() && state.value().type == static_cast<uint64_t>(FdType::kPipe)) {
     ContainerEntry buf{state.value().buf_ct, state.value().obj};
-    SegmentMutex mu(kernel_, buf, 0);
-    if (mu.Lock(self)) {
-      PipeHeader h;
-      kernel_->sys_segment_read(self, buf, &h, 0, sizeof(h));
-      if (state.value().write_end != 0) {
-        ++h.writers_open;
-      } else {
-        ++h.readers_open;
-      }
-      kernel_->sys_segment_write(self, buf, &h, 0, sizeof(h));
-      mu.Unlock(self);
-    }
+    CountPipeEnd(kernel_, self, buf, state.value().write_end != 0, +1);
   }
   return fd;
 }

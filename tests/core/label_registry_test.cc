@@ -159,6 +159,70 @@ TEST(LabelRegistry, ShardCountRoundsToPowerOfTwo) {
   EXPECT_EQ(LabelRegistry(1000).shard_count(), LabelRegistry::kMaxShardCount);
 }
 
+// The n-th distinct label of a family: {1, c_n 2} for category n + 1.
+Label NthLabel(int n) {
+  return Label(Level::k1, {{static_cast<CategoryId>(n + 1), Level::k2}});
+}
+
+TEST(LabelRegistry, IdsResolveAcrossChunkBoundaries) {
+  // Chunk k of a shard holds 8 << k entries, so slots 7|8, 23|24, 55|56,
+  // ... straddle chunk boundaries. One shard puts every label in it; 1,000
+  // labels fill chunks 0–6 and start chunk 7.
+  LabelRegistry reg(1);
+  constexpr int kLabels = 1000;
+  std::vector<LabelId> ids;
+  for (int n = 0; n < kLabels; ++n) {
+    ids.push_back(reg.Intern(NthLabel(n)));
+  }
+  EXPECT_EQ(reg.size(), static_cast<size_t>(kLabels));
+  for (int n = 0; n < kLabels; ++n) {
+    ASSERT_TRUE(reg.Known(ids[n])) << n;
+    EXPECT_EQ(reg.Get(ids[n]), NthLabel(n)) << n;
+    EXPECT_EQ(reg.GetHi(ids[n]), NthLabel(n).ToHi()) << n;
+    EXPECT_EQ(reg.Intern(NthLabel(n)), ids[n]) << n;  // stable, not re-added
+    if (n > 0) {
+      EXPECT_GT(ids[n], ids[n - 1]) << "one shard hands out ids in intern order";
+    }
+  }
+  EXPECT_EQ(reg.size(), static_cast<size_t>(kLabels));
+  EXPECT_FALSE(reg.Known(ids.back() + 1));
+}
+
+TEST(LabelRegistry, EnumerateSinceVisitsShardsInOrderAndSlotsInInternOrder) {
+  LabelRegistry reg(4);
+  std::vector<std::vector<LabelId>> per_shard(4);
+  auto intern = [&](int from, int to) {
+    for (int n = from; n < to; ++n) {
+      LabelId id = reg.Intern(NthLabel(n));
+      per_shard[id & 3].push_back(id);
+    }
+  };
+  intern(0, 300);
+  LabelRegistry::SnapshotMark mark = reg.Snapshot();
+  std::vector<size_t> before(4);
+  for (size_t i = 0; i < 4; ++i) {
+    before[i] = per_shard[i].size();
+    EXPECT_EQ(mark[i], before[i]);
+  }
+  intern(300, 700);
+
+  for (bool since_mark : {false, true}) {
+    std::vector<LabelId> want;
+    for (size_t i = 0; i < 4; ++i) {
+      want.insert(want.end(), per_shard[i].begin() + (since_mark ? before[i] : 0),
+                  per_shard[i].end());
+    }
+    std::vector<LabelId> got;
+    reg.EnumerateSince(since_mark ? mark : LabelRegistry::SnapshotMark{},
+                       [&](LabelId id, const Label& l) {
+                         EXPECT_EQ(l, reg.Get(id));
+                         got.push_back(id);
+                       });
+    EXPECT_EQ(got, want) << (since_mark ? "since the mark" : "everything");
+  }
+  EXPECT_EQ(reg.size(), 700u);
+}
+
 // ---- concurrency -------------------------------------------------------------
 
 // Many threads intern an overlapping universe of labels. Interning must be

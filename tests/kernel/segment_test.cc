@@ -66,6 +66,46 @@ TEST_F(SegmentTest, TaintedThreadCannotWriteUntaintedSegment) {
   EXPECT_EQ(kernel_->sys_segment_read(worker, RootEntry(seg), &buf, 0, 1), Status::kOk);
 }
 
+TEST_F(SegmentTest, CasSwapsOnlyOnMatchAndReturnsTheObservedWord) {
+  ObjectId seg = MakeSegment(Label(), 24);
+  ContainerEntry ce = RootEntry(seg);
+  Result<uint64_t> seen = kernel_->sys_segment_cas(init_, ce, 8, 0, 7);
+  ASSERT_TRUE(seen.ok());
+  EXPECT_EQ(seen.value(), 0u);  // matched: 0 → 7
+  seen = kernel_->sys_segment_cas(init_, ce, 8, 0, 9);
+  ASSERT_TRUE(seen.ok());
+  EXPECT_EQ(seen.value(), 7u);  // no match: the word stays 7
+  uint64_t word = 0;
+  ASSERT_EQ(kernel_->sys_segment_read(init_, ce, &word, 8, 8), Status::kOk);
+  EXPECT_EQ(word, 7u);
+  // Aligned words inside the segment only.
+  EXPECT_EQ(kernel_->sys_segment_cas(init_, ce, 4, 0, 1).status(), Status::kInvalidArg);
+  EXPECT_EQ(kernel_->sys_segment_cas(init_, ce, 24, 0, 1).status(), Status::kRange);
+}
+
+TEST_F(SegmentTest, CasNeedsBothTheReadAndTheWriteCheck) {
+  Result<CategoryId> c = kernel_->sys_cat_create(init_);
+  ASSERT_TRUE(c.ok());
+  ObjectId other = MakeThread(Label(), Label(Level::k2));
+  // Readable but not writable by `other` ({c0, 1}): even a CAS that would
+  // not swap is refused, and the word is unchanged.
+  ObjectId protected_seg = MakeSegment(Label(Level::k1, {{c.value(), Level::k0}}), 8);
+  EXPECT_EQ(kernel_->sys_segment_cas(other, RootEntry(protected_seg), 0, 5, 6).status(),
+            Status::kLabelCheckFailed);
+  EXPECT_EQ(kernel_->sys_segment_cas(other, RootEntry(protected_seg), 0, 0, 6).status(),
+            Status::kLabelCheckFailed);
+  uint64_t word = 1;
+  ASSERT_EQ(kernel_->sys_segment_read(other, RootEntry(protected_seg), &word, 0, 8),
+            Status::kOk);
+  EXPECT_EQ(word, 0u);
+  // Unreadable by `other` ({c3, 1}): a failed swap would reveal the word.
+  ObjectId secret = MakeSegment(Label(Level::k1, {{c.value(), Level::k3}}), 8);
+  EXPECT_EQ(kernel_->sys_segment_cas(other, RootEntry(secret), 0, 5, 6).status(),
+            Status::kLabelCheckFailed);
+  // The owner passes both checks.
+  EXPECT_TRUE(kernel_->sys_segment_cas(init_, RootEntry(secret), 0, 0, 6).ok());
+}
+
 TEST_F(SegmentTest, ResizeRespectsQuota) {
   CreateSpec spec;
   spec.container = kernel_->root_container();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <thread>
 
 namespace histar {
 namespace {
@@ -204,6 +205,48 @@ TEST_F(NetTest, CloseSignalsEof) {
   Result<uint64_t> n = a_->Recv(client, conn.value(), buf, sizeof(buf), 5000);
   ASSERT_TRUE(n.ok()) << StatusName(n.status());
   EXPECT_EQ(n.value(), 0u);  // EOF
+}
+
+TEST_F(NetTest, ConnectSurvivesALateListen) {
+  // The client's first SYN reaches b before b listens, and b drops it.
+  // Connect resends within its 2 s wait, so it still connects, and the
+  // resent copies yield exactly one connection.
+  ObjectId server = MakeClient(b_.get(), "server");
+  ObjectId client = MakeClient(a_.get(), "client");
+  Status accepted = Status::kInvalidArg;
+  Status sent = Status::kInvalidArg;
+  Status second = Status::kOk;
+  std::thread srv([&]() {
+    CurrentThread bind(server);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    Result<uint64_t> ls = b_->Listen(server, 83);
+    if (!ls.ok()) {
+      accepted = ls.status();
+      return;
+    }
+    Result<uint64_t> conn = b_->Accept(server, ls.value(), 5000);
+    accepted = conn.status();
+    if (conn.ok()) {
+      const char msg[] = "late";
+      Result<uint64_t> n = b_->Send(server, conn.value(), msg, sizeof(msg));
+      sent = n.status();
+    }
+    second = b_->Accept(server, ls.value(), 300).status();
+  });
+  CurrentThread bind(client);
+  Result<uint64_t> conn = a_->Connect(client, b_->mac(), 83);
+  char buf[8] = {};
+  Result<uint64_t> n = Status::kNotFound;
+  if (conn.ok()) {
+    n = a_->Recv(client, conn.value(), buf, sizeof(buf), 5000);
+  }
+  srv.join();
+  ASSERT_TRUE(conn.ok()) << StatusName(conn.status());
+  EXPECT_EQ(accepted, Status::kOk) << StatusName(accepted);
+  EXPECT_EQ(sent, Status::kOk) << StatusName(sent);
+  ASSERT_TRUE(n.ok()) << StatusName(n.status());
+  EXPECT_STREQ(buf, "late");
+  EXPECT_NE(second, Status::kOk) << "a resent SYN was accepted as a second connection";
 }
 
 TEST_F(NetTest, SwitchAccountsVirtualTime) {

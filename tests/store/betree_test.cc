@@ -15,7 +15,8 @@
 //    staged restage + commit otherwise;
 //  * the engine byte: a section whose header names any engine but the
 //    Bε-tree (byte 0 was the removed blob engine) fails recovery with
-//    kCorrupt instead of being parsed as a Bε-tree body;
+//    kCorrupt instead of being parsed as a Bε-tree body; so does a
+//    message of the retired kind 4;
 //  * fold equivalence: MergeSectionBodies replays like the originals;
 //  * allocation-failure sweep over the base flush path.
 #include <gtest/gtest.h>
@@ -53,14 +54,6 @@ Msg Delete(uint64_t id) {
   return m;
 }
 
-Msg MapUpdate(uint64_t id, uint64_t meta_len) {
-  Msg m;
-  m.kind = MsgKind::kMapUpdate;
-  m.id = id;
-  m.meta_len = meta_len;
-  return m;
-}
-
 Msg LabelDelta(uint32_t id, std::vector<uint8_t> bytes) {
   Msg m;
   m.kind = MsgKind::kLabelDelta;
@@ -76,19 +69,14 @@ TEST(BetreeMsg, BufferCoalescesLatestWins) {
   ASSERT_EQ(b.objects().size(), 1u);
   EXPECT_EQ(b.objects().at(7).bytes, (std::vector<uint8_t>{9, 9}));
 
-  b.Apply(MapUpdate(7, 1));  // patches the staged upsert's meta_len
-  EXPECT_EQ(b.objects().at(7).kind, MsgKind::kUpsert);
-  EXPECT_EQ(b.objects().at(7).meta_len, 1u);
-  b.Apply(MapUpdate(7, 100));  // clamped to the staged image
-  EXPECT_EQ(b.objects().at(7).meta_len, 2u);
-
   b.Apply(Delete(7));  // tombstone replaces the upsert...
   EXPECT_EQ(b.objects().at(7).kind, MsgKind::kDelete);
-  b.Apply(MapUpdate(7, 3));  // ...and shrugs off metadata patches
-  EXPECT_EQ(b.objects().at(7).kind, MsgKind::kDelete);
+  b.Apply(Upsert(7, {4}, 1));  // ...and a newer image replaces the tombstone
+  EXPECT_EQ(b.objects().at(7).kind, MsgKind::kUpsert);
+  EXPECT_EQ(b.objects().at(7).meta_len, 1u);
 
-  b.Apply(MapUpdate(8, 5));  // no staged image: kept for the leaf
-  EXPECT_EQ(b.objects().at(8).kind, MsgKind::kMapUpdate);
+  b.Apply(Delete(8));  // a tombstone with nothing staged is kept for the leaf
+  EXPECT_EQ(b.objects().at(8).kind, MsgKind::kDelete);
 
   b.Apply(LabelDelta(3, {1}));
   b.Apply(LabelDelta(3, {2, 2}));  // latest label image wins
@@ -102,7 +90,6 @@ TEST(BetreeMsg, WireRoundTripAllKinds) {
   in.push_back(Upsert(42, {5, 6, 7}, 2));
   in.push_back(Delete(43));
   in.push_back(LabelDelta(9, {8, 8, 8, 8}));
-  in.push_back(MapUpdate(44, 16));
   std::vector<uint8_t> wire;
   for (const Msg& m : in) {
     size_t before = wire.size();
@@ -125,8 +112,22 @@ TEST(BetreeMsg, WireRoundTripAllKinds) {
   Msg m;
   ASSERT_TRUE(ParseMsg(&t, &m));
   ASSERT_TRUE(ParseMsg(&t, &m));
-  ASSERT_TRUE(ParseMsg(&t, &m));
   EXPECT_FALSE(ParseMsg(&t, &m));
+}
+
+TEST(BetreeMsg, ParseRefusesRetiredAndUnknownKinds) {
+  // Kind 4 was the never-produced metadata patch: retired, not reused. It
+  // parses as no message at all, even followed by a well-formed body of its
+  // old shape (u64 id, u64 meta_len).
+  for (uint8_t kind : {uint8_t{0}, uint8_t{4}, uint8_t{5}, uint8_t{0xff}}) {
+    std::vector<uint8_t> wire = {kind};
+    storewire::PutU64(&wire, 44);
+    storewire::PutU64(&wire, 16);
+    storewire::Reader r{wire.data(), wire.size()};
+    Msg m;
+    EXPECT_FALSE(ParseMsg(&r, &m)) << "kind " << int{kind};
+    EXPECT_TRUE(r.fail) << "kind " << int{kind};
+  }
 }
 
 TEST(BetreeMsg, ExtractRangePartitions) {
@@ -523,6 +524,59 @@ TEST_F(BetreeStoreTest, RecoveryRefusesRetiredObjectType) {
   ASSERT_EQ(PatchObjectTypeByte(disk_.get(), chain[1], seg, 6), segment_type);
   EXPECT_EQ(RebootFromDisk(disk_.get(), tuning_).status, Status::kCorrupt);
   ASSERT_EQ(PatchObjectTypeByte(disk_.get(), chain[1], seg, segment_type), 6);
+  // Restoring the byte restores the boot: the patch itself is sound.
+  RebootResult r = RebootFromDisk(disk_.get(), tuning_);
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(WorldImage(*r.kernel), committed);
+}
+
+// Rewrites the kind byte of the upsert message carrying object `id` in a
+// committed section — the message is [u8 kind][u64 id][u64 meta_len][u32
+// len] and its image starts [u8 format][u8 type][u64 object_id] — and
+// re-seals the section checksum. The kind found may be an upsert's or the
+// retired 4 (to undo a patch). Returns the byte it replaced, or 0 if no
+// such message was found.
+uint8_t PatchUpsertKindByte(DiskModel* disk, const Extent& section, ObjectId id,
+                            uint8_t kind) {
+  std::vector<uint8_t> image(section.length);
+  EXPECT_EQ(disk->Read(section.offset, image.data(), image.size()), Status::kOk);
+  uint8_t id_bytes[8];
+  memcpy(id_bytes, &id, 8);
+  constexpr size_t kImageAt = 1 + 8 + 8 + 4;
+  for (size_t i = 0; i + kImageAt + 10 <= image.size() - 8; ++i) {
+    const uint8_t* img = image.data() + i + kImageAt;
+    bool upsert = image[i] == static_cast<uint8_t>(MsgKind::kUpsert) || image[i] == 4;
+    if (upsert && memcmp(image.data() + i + 1, id_bytes, 8) == 0 &&
+        (img[0] == 0x01 || img[0] == 0x02) && memcmp(img + 2, id_bytes, 8) == 0) {
+      uint8_t old = image[i];
+      image[i] = kind;
+      uint64_t csum = StoreChecksum(image.data(), image.size() - 8);
+      memcpy(image.data() + image.size() - 8, &csum, 8);
+      EXPECT_EQ(disk->Write(section.offset, image.data(), image.size()), Status::kOk);
+      return old;
+    }
+  }
+  return 0;
+}
+
+TEST_F(BetreeStoreTest, RecoveryRefusesRetiredMessageKind) {
+  // Message kind 4 (the retired metadata patch) is refused (kCorrupt), not
+  // replayed: the increment's upsert of `seg` is patched to kind 4, so the
+  // kind byte is the only thing recovery can object to.
+  ObjectId seg = MakeSegment(Label(), 128);
+  ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);  // base
+  char b = 'm';
+  ASSERT_EQ(kernel_->sys_segment_write(init_, RootEntry(seg), &b, 0, 1), Status::kOk);
+  ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);  // increment: upserts seg
+  ASSERT_FALSE(store_->last_commit_was_base());
+  WorldMap committed = WorldImage(*kernel_);
+
+  std::vector<Extent> chain = CommittedChain(disk_.get());
+  ASSERT_EQ(chain.size(), 2u);
+  const uint8_t upsert = static_cast<uint8_t>(MsgKind::kUpsert);
+  ASSERT_EQ(PatchUpsertKindByte(disk_.get(), chain[1], seg, 4), upsert);
+  EXPECT_EQ(RebootFromDisk(disk_.get(), tuning_).status, Status::kCorrupt);
+  ASSERT_EQ(PatchUpsertKindByte(disk_.get(), chain[1], seg, upsert), 4);
   // Restoring the byte restores the boot: the patch itself is sound.
   RebootResult r = RebootFromDisk(disk_.get(), tuning_);
   ASSERT_EQ(r.status, Status::kOk);

@@ -90,6 +90,25 @@ TEST_F(SuperblockFaultTest, BitFlipOnNewerCopyFallsBackToOlderEpoch) {
   EXPECT_EQ(r.kernel->sys_sync(init_), Status::kOk);
 }
 
+// Format must forget the old store. It writes generation 1 to slot A; an
+// older build left slot B holding the old store's higher generation, so
+// Recover after a reformat came back with the old store (generation 4,
+// chain 3 after four syncs).
+TEST_F(SuperblockFaultTest, RecoverAfterReformatSeesAnEmptyStore) {
+  ObjectId seg = MakeSegment(Label(), 64);
+  for (uint64_t stamp = 1; stamp <= 4; ++stamp) {
+    CommitStamp(seg, stamp);
+  }
+  ASSERT_GT(store_->chain_length(), 0u);
+  ASSERT_EQ(store_->Format(), Status::kOk);
+  RebootResult r = RebootFromDisk(disk_.get(), SbTuning());
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(r.store->generation(), 1u);
+  EXPECT_EQ(r.store->chain_length(), 0u);
+  Kernel fresh;
+  EXPECT_EQ(WorldImage(*r.kernel), WorldImage(fresh)) << "objects of the old store came back";
+}
+
 // Both copies individually corrupted: recovery reports an unformatted /
 // unrecoverable disk via kNotFound. No crash, no partial world.
 TEST_F(SuperblockFaultTest, BothCopiesCorruptReportsNotFound) {

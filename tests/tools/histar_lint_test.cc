@@ -51,6 +51,7 @@ TEST(HistarLint, RuleNamesAreStableAndComplete) {
       "epoch-guard-blocking", "nofail-region-check",
       "shard-mutex-outside-tablelock", "raw-sync-primitive",
       "raw-clock-read",       "wait-without-reap",
+      "segment-word-rmw",
   };
   EXPECT_EQ(names, expected);
 }
@@ -99,6 +100,18 @@ TEST(HistarLint, BadFixtureLinesPointAtTheViolation) {
       LintSource("x.cc", ReadFile(bad), {"raw-sync-primitive"});
   ASSERT_FALSE(findings.empty());
   EXPECT_EQ(findings[0].line, 8);  // std::mutex g_mu;
+}
+
+TEST(HistarLint, SegmentWordRmwFlagsEachRacingWrite) {
+  // The old SegmentMutex's write sits in StoreChecked, a different member
+  // function than the read in Load: the class body is one unit. The free
+  // function's read-increment-write is the second finding.
+  const fs::path bad = FixtureDir() / "segment_word_rmw_bad.cc";
+  const std::vector<Finding> findings =
+      LintSource("x.cc", ReadFile(bad), {"segment-word-rmw"});
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].line, 65);  // StoreChecked's sys_segment_write
+  EXPECT_EQ(findings[1].line, 78);  // BumpCounter's sys_segment_write
 }
 
 // ---- CleanSource -----------------------------------------------------------

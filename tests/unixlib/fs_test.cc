@@ -340,6 +340,55 @@ TEST_F(FsTest, DirectoryOpsCostAConstantNumberOfKernelCalls) {
   EXPECT_EQ(create_calls[1], create_calls[0]);
 }
 
+TEST_F(FsTest, CreateTakesFourRoundTripsAndFiveLocks) {
+  // Create is [dir metadata, segment create], [CAS lock, get_len], the
+  // snapshot read, and [resize?, entry write, generation write, CAS
+  // unlock]: four kernel round trips. Their TableLock acquisitions are the
+  // create's id probe plus one per group, the get_len running lock-free.
+  ObjectId tmp = world_->tmp_dir();
+  Result<ObjectId> small = fs().MakeDir(self_, tmp, "small", Label(), 1 << 20);
+  Result<ObjectId> large = fs().MakeDir(self_, tmp, "large", Label(), 4 << 20);
+  ASSERT_TRUE(small.ok() && large.ok());
+  const uint64_t kFileQuota = kObjectOverheadBytes + 1024;
+  ASSERT_TRUE(fs().Create(self_, small.value(), "f0", Label(), kFileQuota).ok());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(
+        fs().Create(self_, large.value(), "f" + std::to_string(i), Label(), kFileQuota).ok());
+  }
+  const ObjectTable& table = kernel_->object_table();
+  for (ObjectId dir : {small.value(), large.value()}) {
+    uint64_t e0 = kernel_->thread_entry_count(self_);
+    table.set_lock_accounting(true);
+    uint64_t l0 = table.lock_acquisitions();
+    ASSERT_TRUE(fs().Create(self_, dir, "new", Label(), kFileQuota).ok());
+    uint64_t locks = table.lock_acquisitions() - l0;
+    table.set_lock_accounting(false);
+    uint64_t entries = kernel_->thread_entry_count(self_) - e0;
+    EXPECT_LE(entries, 4u) << "directory " << dir;
+    EXPECT_LE(locks, 5u) << "directory " << dir;
+
+    uint64_t c0 = kernel_->thread_syscall_count(self_);
+    EXPECT_EQ(fs().Lookup(self_, dir, "missing").status(), Status::kNotFound);
+    EXPECT_EQ(kernel_->thread_syscall_count(self_) - c0, 3u) << "Lookup, directory " << dir;
+  }
+}
+
+TEST_F(FsTest, WriteAtGrowsTheFileInOneRoundTrip) {
+  // get_len, then the resize and the write as one batch.
+  ObjectId tmp = world_->tmp_dir();
+  Result<ObjectId> f = fs().Create(self_, tmp, "grow", Label());
+  ASSERT_TRUE(f.ok());
+  const char data[] = "appended";
+  uint64_t e0 = kernel_->thread_entry_count(self_);
+  ASSERT_EQ(fs().WriteAt(self_, tmp, f.value(), data, 0, sizeof(data)), Status::kOk);
+  EXPECT_EQ(kernel_->thread_entry_count(self_) - e0, 2u);
+  char back[sizeof(data)] = {};
+  Result<uint64_t> n = fs().ReadAt(self_, tmp, f.value(), back, 0, sizeof(back));
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n.value(), sizeof(data));
+  EXPECT_STREQ(back, data);
+}
+
 TEST_F(FsTest, StuckBusyWordIsIgnored) {
   ObjectId tmp = world_->tmp_dir();
   Result<ObjectId> f = fs().Create(self_, tmp, "there", Label());

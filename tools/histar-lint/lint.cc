@@ -138,6 +138,7 @@ const Rule kRules[] = {
     {"raw-sync-primitive", AppliesSrcNotSyncH, ExemptSyncH},
     {"raw-clock-read", AppliesSrcNotTrace, ExemptTrace},
     {"wait-without-reap", AppliesSrc, ExemptNone},
+    {"segment-word-rmw", AppliesSrc, ExemptNone},
 };
 
 bool RuleEnabled(const Rule& rule, const std::string& path,
@@ -529,6 +530,109 @@ void CheckWaitWithoutReap(const std::string& path, const std::string& clean,
   }
 }
 
+// ---- segment-word-rmw ------------------------------------------------------------
+
+// The arguments of the call whose `(` is at `open`, split at top-level
+// commas, spaces dropped; empty if the call is unterminated.
+std::vector<std::string> CallArgs(const std::string& s, size_t open) {
+  std::vector<std::string> args(1);
+  int nest = 0;
+  for (size_t i = open + 1; i < s.size(); ++i) {
+    char c = s[i];
+    if (c == '(' || c == '[' || c == '{') {
+      ++nest;
+    } else if (c == ')' || c == ']' || c == '}') {
+      if (nest-- == 0) {
+        return args;
+      }
+    } else if (c == ',' && nest == 0) {
+      args.emplace_back();
+      continue;
+    }
+    if (c != ' ') {
+      args.back() += c;
+    }
+  }
+  return {};
+}
+
+// A segment word must change by sys_segment_cas alone: a sys_segment_read
+// and a sys_segment_write of the same ⟨segment, offset, length⟩ in one unit
+// of code is a read-modify-write another thread can interleave with — the
+// two-call compare that once hung SegmentMutex. A unit is a function body,
+// or a whole class body: inline members that share the segment and offset
+// fields (a Load/Store helper pair) are one protocol. Arguments match
+// textually (the 2nd, 4th and 5th: entry, offset and length); the length
+// keeps a staging buffer reused for frames of different sizes quiet.
+void CheckSegmentWordRmw(const std::string& path, const std::string& clean,
+                         std::vector<Finding>* out) {
+  std::string flat = clean;  // same offsets, one line
+  std::replace(flat.begin(), flat.end(), '\n', ' ');
+  std::replace(flat.begin(), flat.end(), '\t', ' ');
+  auto opens_namespace = [](const std::string& prefix) {
+    for (const char* kw : {"namespace", "extern"}) {
+      size_t pos = FindWord(prefix, kw);
+      if (pos != std::string::npos &&
+          (pos + std::char_traits<char>::length(kw) >= prefix.size() ||
+           !IsIdentChar(prefix[pos + std::char_traits<char>::length(kw)]))) {
+        return true;
+      }
+    }
+    return false;
+  };
+  // ⟨segment, offset, length⟩ keys of a unit's calls (`k->name(...)`, so
+  // declarations do not count), with each call's offset in `flat`.
+  auto keys_of = [&flat](size_t from, size_t to, const std::string& name) {
+    const std::string unit = flat.substr(from, to - from);
+    std::vector<std::pair<std::string, size_t>> keys;
+    for (size_t op : MemberCalls(unit, name)) {
+      size_t open = unit.find('(', op);
+      std::vector<std::string> args = CallArgs(unit, open);
+      if (args.size() == 5) {
+        keys.emplace_back(args[1] + "@" + args[3] + "+" + args[4], from + op);
+      }
+    }
+    return keys;
+  };
+  int depth = 0;
+  int unit_depth = -1;
+  size_t unit_start = 0;
+  size_t stmt = 0;
+  for (size_t i = 0; i < flat.size(); ++i) {
+    char c = flat[i];
+    if (c == ';') {
+      stmt = i + 1;
+    } else if (c == '{') {
+      if (unit_depth < 0 && !opens_namespace(flat.substr(stmt, i - stmt))) {
+        unit_start = stmt;
+        unit_depth = depth;
+      }
+      ++depth;
+      stmt = i + 1;
+    } else if (c == '}') {
+      --depth;
+      stmt = i + 1;
+      if (depth != unit_depth) {
+        continue;
+      }
+      unit_depth = -1;
+      const auto reads = keys_of(unit_start, i, "sys_segment_read");
+      for (const auto& [key, pos] : keys_of(unit_start, i, "sys_segment_write")) {
+        bool paired = std::any_of(reads.begin(), reads.end(),
+                                  [&key](const auto& r) { return r.first == key; });
+        if (!paired) {
+          continue;
+        }
+        int line = 1 + static_cast<int>(std::count(clean.begin(), clean.begin() + pos, '\n'));
+        out->push_back({path, line, "segment-word-rmw",
+                        "sys_segment_read and sys_segment_write of the same segment word (" +
+                            key + ") — a read-modify-write that other threads can "
+                            "interleave; change the word with sys_segment_cas"});
+      }
+    }
+  }
+}
+
 }  // namespace
 
 std::string CleanSource(const std::string& content) {
@@ -647,10 +751,14 @@ std::vector<Finding> LintSource(const std::string& rel_path, const std::string& 
   const bool rule_raw_sync = enabled[5];
   const bool rule_raw_clock = enabled[6];
   const bool rule_wait_reap = enabled[7];
+  const bool rule_segment_rmw = enabled[8];
 
   std::string clean = CleanSource(content);
   if (rule_wait_reap) {
     CheckWaitWithoutReap(rel_path, clean, &findings);
+  }
+  if (rule_segment_rmw) {
+    CheckSegmentWordRmw(rel_path, clean, &findings);
   }
   std::istringstream in(clean);
   std::string line;
