@@ -435,8 +435,9 @@ BENCHMARK(BM_HiStarRestoreLabelHeavy)
 // Two machine-checked rows, emitted into BENCH_pr8.json by
 // scripts/bench_json.sh and bounded by scripts/check_bench_pr8.sh:
 //   * dirty-1000 checkpoint: the engine folds the whole batch into one
-//     message section (section, its checksum word, superblock: 3 device
-//     writes), with total bytes within 2x of the serialized payload;
+//     message section (the section with its checksum, then the
+//     superblock: 2 device writes under one barrier), with total bytes
+//     within 2x of the serialized payload;
 //   * restore: the image is a handful of sequential node/section runs, so
 //     recovery seeks a couple of dozen times, not once per object.
 

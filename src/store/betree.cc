@@ -43,12 +43,18 @@ uint64_t BufferWireBytes(const MsgBuffer& b) {
 //                    metadata prefix is writeback territory, see
 //                    FlushPages)
 //   interior:  u64 magic, u8 level≥1, u32 n_children,
-//              n × { u64 min_key, u64 child_off, u64 child_len },
+//              n × { u64 min_key, u64 child_off, u64 child_len,
+//                    u64 child_seal },
 //              u32 n_msgs, messages...   (msg.h wire format)
 //              u64 csum                  (FNV over everything prior)
+//
+// A node's seal is what its referrer records beside its extent: an
+// interior node's csum; for a leaf, its header csum folded with every
+// blob_csum in order (everything but the writeback payload).
 struct BetreeEngine::Node {
   int level = 0;  // 0 = leaf
   Extent extent{};
+  uint64_t seal = 0;  // of the image at `extent`, valid when !dirty
   bool dirty = true;
 
   struct Entry {
@@ -75,10 +81,16 @@ uint64_t NodeWireBytes(const Node& n) {
     }
     return sz;
   }
-  return 8 + 1 + 4 + n.children.size() * 24 + BufferWireBytes(n.buffer) + 8;
+  return 8 + 1 + 4 + n.children.size() * 32 + BufferWireBytes(n.buffer) + 8;
 }
 
-void SerializeNode(const Node& n, std::vector<uint8_t>* out) {
+uint64_t FoldSeal(uint64_t seal, uint64_t csum) {
+  uint64_t pair[2] = {seal, csum};
+  return StoreChecksum(pair, sizeof(pair));
+}
+
+// Appends the node's image to `out`; returns its seal.
+uint64_t SerializeNode(const Node& n, std::vector<uint8_t>* out) {
   using storewire::PutU32;
   using storewire::PutU64;
   using storewire::PutU8;
@@ -91,22 +103,28 @@ void SerializeNode(const Node& n, std::vector<uint8_t>* out) {
       PutU64(out, e.meta_len);
       PutU64(out, e.bytes.size());
     }
-    PutU64(out, StoreChecksum(out->data(), out->size()));
+    uint64_t seal = StoreChecksum(out->data(), out->size());
+    PutU64(out, seal);
     for (const Node::Entry& e : n.entries) {
       out->insert(out->end(), e.bytes.begin(), e.bytes.end());
       uint64_t meta = std::min<uint64_t>(e.meta_len, e.bytes.size());
-      PutU64(out, StoreChecksum(e.bytes.data(), meta));
+      uint64_t blob_csum = StoreChecksum(e.bytes.data(), meta);
+      PutU64(out, blob_csum);
+      seal = FoldSeal(seal, blob_csum);
     }
-    return;
+    return seal;
   }
   PutU32(out, static_cast<uint32_t>(n.children.size()));
   for (size_t i = 0; i < n.children.size(); ++i) {
     PutU64(out, n.keys[i]);
     PutU64(out, n.children[i]->extent.offset);
     PutU64(out, n.children[i]->extent.length);
+    PutU64(out, n.children[i]->seal);
   }
   n.buffer.Serialize(out);
-  PutU64(out, StoreChecksum(out->data(), out->size()));
+  uint64_t seal = StoreChecksum(out->data(), out->size());
+  PutU64(out, seal);
+  return seal;
 }
 
 // Child index id routes to: the last key ≤ id (ids below keys[0] go left).
@@ -486,7 +504,7 @@ Status BetreeEngine::WriteDirtyNodes(Node* root) {
     }
     std::vector<uint8_t> img;
     img.reserve(sizes[i]);
-    SerializeNode(*n, &img);  // children already rewritten: extents current
+    uint64_t seal = SerializeNode(*n, &img);  // children already rewritten
     Status st = disk_->Write(slot, img.data(), img.size());
     if (st != Status::kOk) {
       // This node stays dirty and keeps its old extent; nothing durable
@@ -504,6 +522,7 @@ Status BetreeEngine::WriteDirtyNodes(Node* root) {
       pending_frees_->push_back(n->extent);
     }
     n->extent = Extent{slot, img.size()};
+    n->seal = seal;
     n->dirty = false;
     if (arena) {
       cursor += img.size();
@@ -548,9 +567,9 @@ Status BetreeEngine::EmitSectionBody(bool base,
   // complete label table.
   std::map<uint64_t, Msg> msgs = work.ExtractRange(0, ~0ULL);
   if (root_ == nullptr && msgs.empty()) {
-    PutU64(image, 0);
-    PutU64(image, 0);
-    PutU64(image, 0);
+    for (int i = 0; i < 4; ++i) {
+      PutU64(image, 0);
+    }
     return Status::kOk;
   }
   if (root_ == nullptr) {
@@ -583,6 +602,7 @@ Status BetreeEngine::EmitSectionBody(bool base,
   PutU64(image, root_->extent.offset);
   PutU64(image, root_->extent.length);
   PutU64(image, node_count());
+  PutU64(image, root_->seal);
   return Status::kOk;
 }
 
@@ -739,7 +759,8 @@ Result<uint64_t> BetreeEngine::TouchObject(ObjectId id) {
   return Status::kNotFound;
 }
 
-Result<std::unique_ptr<Node>> BetreeEngine::ReadNode(const Extent& e, int depth) {
+Result<std::unique_ptr<Node>> BetreeEngine::ReadNode(const Extent& e, uint64_t seal, int depth,
+                                                     bool* mismatch) {
   if (depth > kMaxTreeDepth || e.length < 8 + 1 + 4 + 8 || e.length > kMaxNodeBytes) {
     return Status::kCorrupt;
   }
@@ -748,24 +769,34 @@ Result<std::unique_ptr<Node>> BetreeEngine::ReadNode(const Extent& e, int depth)
   if (st != Status::kOk) {
     return st;
   }
+  // Until the image's checksums and its referrer's seal hold, a failure
+  // means these are not the bytes the commit wrote (a write that never
+  // landed, or a stale node at a recycled extent). Once they hold, a
+  // refusal is structural.
+  auto unlanded = [mismatch]() -> Result<std::unique_ptr<Node>> {
+    *mismatch = true;
+    return Status::kCorrupt;
+  };
   storewire::Reader r{img.data(), img.size()};
   uint64_t magic = r.U64();
   uint8_t level = r.U8();
   if (r.fail || magic != kNodeMagic) {
-    return Status::kCorrupt;
+    return unlanded();
   }
   auto n = std::make_unique<Node>();
   n->level = level;
   n->extent = e;
+  n->seal = seal;
   n->dirty = false;
   if (level == 0) {
+    // A leaf holds no field recovery refuses: every failure is unlanded.
     uint32_t cnt = r.U32();
     if (r.fail) {
-      return Status::kCorrupt;
+      return unlanded();
     }
     uint64_t header_len = 8 + 1 + 4 + static_cast<uint64_t>(cnt) * 24;
     if (header_len + 8 > img.size()) {
-      return Status::kCorrupt;
+      return unlanded();
     }
     std::vector<std::pair<uint64_t, uint64_t>> meta_lens;  // (meta_len, len)
     n->entries.reserve(cnt);
@@ -776,55 +807,57 @@ Result<std::unique_ptr<Node>> BetreeEngine::ReadNode(const Extent& e, int depth)
       ent.meta_len = r.U64();
       uint64_t len = r.U64();
       if (r.fail || (j > 0 && ent.id <= prev_id)) {
-        return Status::kCorrupt;
+        return unlanded();
       }
       prev_id = ent.id;
       meta_lens.emplace_back(ent.meta_len, len);
       n->entries.push_back(std::move(ent));
     }
-    uint64_t want = r.U64();
-    if (r.fail || StoreChecksum(img.data(), header_len) != want) {
-      return Status::kCorrupt;
+    uint64_t got = r.U64();
+    if (r.fail || StoreChecksum(img.data(), header_len) != got) {
+      return unlanded();
     }
     for (uint32_t j = 0; j < cnt; ++j) {
       uint64_t len = meta_lens[j].second;
       if (!r.Bytes(&n->entries[j].bytes, len)) {
-        return Status::kCorrupt;
+        return unlanded();
       }
       uint64_t blob_want = r.U64();
       uint64_t m = std::min(meta_lens[j].first, len);
       if (r.fail || StoreChecksum(n->entries[j].bytes.data(), m) != blob_want) {
-        return Status::kCorrupt;
+        return unlanded();
       }
+      got = FoldSeal(got, blob_want);
     }
-    if (r.pos != img.size()) {
-      return Status::kCorrupt;
+    if (r.pos != img.size() || got != seal) {
+      return unlanded();
     }
     return n;
   }
   // Interior: the trailing checksum covers the whole image (resting
-  // messages included) — verify before trusting any count.
-  uint64_t want;
-  memcpy(&want, img.data() + img.size() - 8, 8);
-  if (StoreChecksum(img.data(), img.size() - 8) != want) {
-    return Status::kCorrupt;
+  // messages included) and is the seal — verify before trusting any count.
+  uint64_t got;
+  memcpy(&got, img.data() + img.size() - 8, 8);
+  if (StoreChecksum(img.data(), img.size() - 8) != got || got != seal) {
+    return unlanded();
   }
   uint32_t cnt = r.U32();
   if (r.fail || cnt == 0) {
     return Status::kCorrupt;
   }
-  std::vector<Extent> child_extents;
-  child_extents.reserve(cnt);
+  std::vector<std::pair<Extent, uint64_t>> child_refs;  // (extent, seal)
+  child_refs.reserve(cnt);
   for (uint32_t j = 0; j < cnt; ++j) {
     uint64_t key = r.U64();
     Extent ce;
     ce.offset = r.U64();
     ce.length = r.U64();
+    uint64_t child_seal = r.U64();
     if (r.fail || (j > 0 && key <= n->keys.back())) {
       return Status::kCorrupt;
     }
     n->keys.push_back(key);
-    child_extents.push_back(ce);
+    child_refs.emplace_back(ce, child_seal);
   }
   uint32_t n_msgs = r.U32();
   for (uint32_t j = 0; j < n_msgs; ++j) {
@@ -837,8 +870,8 @@ Result<std::unique_ptr<Node>> BetreeEngine::ReadNode(const Extent& e, int depth)
   if (r.fail || r.pos != img.size() - 8) {
     return Status::kCorrupt;
   }
-  for (const Extent& ce : child_extents) {
-    Result<std::unique_ptr<Node>> child = ReadNode(ce, depth + 1);
+  for (const auto& [ce, child_seal] : child_refs) {
+    Result<std::unique_ptr<Node>> child = ReadNode(ce, child_seal, depth + 1, mismatch);
     if (!child.ok()) {
       return child.status();
     }
@@ -851,11 +884,12 @@ Result<std::unique_ptr<Node>> BetreeEngine::ReadNode(const Extent& e, int depth)
 }
 
 Status BetreeEngine::LoadSectionBody(bool base, storewire::Reader* r,
-                                     const LabelSink& label_sink) {
+                                     const LabelSink& label_sink, bool* mismatch) {
   if (base) {
     uint64_t off = r->U64();
     uint64_t len = r->U64();
     uint64_t n_nodes = r->U64();
+    uint64_t seal = r->U64();
     if (r->fail) {
       return Status::kCorrupt;
     }
@@ -866,7 +900,7 @@ Status BetreeEngine::LoadSectionBody(bool base, storewire::Reader* r,
     if (len == 0) {
       return n_nodes == 0 ? Status::kOk : Status::kCorrupt;
     }
-    Result<std::unique_ptr<Node>> n = ReadNode(Extent{off, len}, 0);
+    Result<std::unique_ptr<Node>> n = ReadNode(Extent{off, len}, seal, 0, mismatch);
     if (!n.ok()) {
       return n.status();
     }

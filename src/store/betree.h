@@ -24,6 +24,12 @@
 //    extents go to pending_frees and are released only after the superblock
 //    flip. A torn node write fails the commit before the flip, so a crashed
 //    flush always boots from the previous root.
+//  * Every node reference carries the child's seal (its checksum): the
+//    commit's nodes, section and superblock share one barrier, so a device
+//    that reorders writes may leave the flip naming a node that never
+//    landed — or a stale node at a recycled extent. Recovery tells that
+//    apart from a refusal (LoadSectionBody's *mismatch) and the store boots
+//    the previous commit.
 //  * A node is marked clean only after its device write returns kOk; a
 //    failed base flush leaves consumed messages safe in the in-memory tree
 //    and sets a sticky base-pending flag — no increment can commit until a
@@ -36,8 +42,8 @@
 // Division of labour with SingleLevelStore, which holds one BetreeEngine:
 // the store owns everything the paper's commit protocol owns — superblock
 // slots, the WAL, the accumulated label table, the checkpoint section chain,
-// commit orchestration (allocate → write → flush → superblock flip → release
-// superseded extents) and recovery orchestration. The engine owns where
+// commit orchestration (allocate → write → superblock flip → one barrier →
+// release superseded extents) and recovery orchestration. The engine owns where
 // object images live on the heap and what a checkpoint section's body says
 // about them.
 //
@@ -134,8 +140,12 @@ class BetreeEngine {
   // ---- Recovery -------------------------------------------------------------
 
   // Replays one section body (reader positioned past the store-level label
-  // records; the section checksum has already been verified).
-  Status LoadSectionBody(bool base, storewire::Reader* r, const LabelSink& label_sink);
+  // records; the section checksum has already been verified). Sets
+  // *mismatch when a base's node fails its checksum or its parent's seal:
+  // bytes the commit wrote are not on disk. Any other kCorrupt is a refusal
+  // of well-formed bytes.
+  Status LoadSectionBody(bool base, storewire::Reader* r, const LabelSink& label_sink,
+                         bool* mismatch);
   // Every heap extent the tree references — reserved in the allocator
   // alongside the section chain.
   void CollectExtents(std::vector<Extent>* out) const;
@@ -174,7 +184,8 @@ class BetreeEngine {
   void FlushOverflow(Node* n);  // push buffer overflow toward the children
 
   Status WriteDirtyNodes(Node* root);
-  Result<std::unique_ptr<Node>> ReadNode(const Extent& e, int depth);
+  Result<std::unique_ptr<Node>> ReadNode(const Extent& e, uint64_t seal, int depth,
+                                         bool* mismatch);
 
   // Freshest staged message for `id`, if any: pending over committed over
   // the interior buffers along the root→leaf path. Also reports the leaf

@@ -113,8 +113,15 @@ class DiskModel {
   Status Read(uint64_t offset, void* buf, uint64_t len);
   // Writes `len` bytes. In a torn-write crash, a prefix may be persisted.
   Status Write(uint64_t offset, const void* buf, uint64_t len);
-  // Barrier: orders all prior writes (the model charges no extra time; the
-  // EIDE write cache of the paper's OpenBSD footnote is out of scope).
+  // Barrier: every write issued before it is durable when it returns, and
+  // no write issued after it lands before them. Writes between two barriers
+  // carry no order of their own: a device may persist any subset of them,
+  // so a commit that puts several writes under one barrier must detect the
+  // ones that never landed (the store checks checksums, node seals and
+  // epochs at recovery). The model persists writes in issue order, which
+  // the contract allows. Charges sync_barrier_ns when writes are
+  // outstanding and loses the head position. (The EIDE write cache of the
+  // paper's OpenBSD footnote is out of scope.)
   Status Flush();
 
   // Simulated time consumed so far, in nanoseconds.

@@ -144,34 +144,28 @@ Status SingleLevelStore::WriteSuperblock(bool blank_slot_b) {
   return Status::kOk;
 }
 
-Status SingleLevelStore::ReadSuperblocks(Superblock* out) {
-  Superblock best;
-  bool found = false;
-  uint64_t best_slot = 0;
+Status SingleLevelStore::ReadSuperblocks(std::vector<SlotCopy>* out) {
+  out->clear();
   for (uint64_t slot : {uint64_t{0}, uint64_t{4096}}) {
-    Superblock sb;
-    if (disk_->Read(slot, &sb, sizeof(sb)) != Status::kOk) {
+    SlotCopy c;
+    c.slot = slot;
+    if (disk_->Read(slot, &c.sb, sizeof(c.sb)) != Status::kOk) {
       continue;
     }
-    uint64_t want = sb.checksum;
-    sb.checksum = 0;
-    if (sb.magic != kMagic || Checksum(&sb, sizeof(sb)) != want) {
+    uint64_t want = c.sb.checksum;
+    c.sb.checksum = 0;
+    if (c.sb.magic != kMagic || Checksum(&c.sb, sizeof(c.sb)) != want) {
       continue;
     }
-    sb.checksum = want;
-    if (!found || sb.generation > best.generation) {
-      best = sb;
-      best_slot = slot;
-      found = true;
-    }
+    c.sb.checksum = want;
+    out->push_back(c);
   }
-  if (!found) {
+  if (out->empty()) {
     return Status::kNotFound;
   }
-  // The next flip must target the slot NOT holding the superblock this boot
-  // trusts, so a faulted first commit can never destroy it.
-  which_sb_ = best_slot == 0;
-  *out = best;
+  if (out->size() == 2 && (*out)[1].sb.generation > (*out)[0].sb.generation) {
+    std::swap((*out)[0], (*out)[1]);
+  }
   return Status::kOk;
 }
 
@@ -228,30 +222,27 @@ Status SingleLevelStore::FoldChain() {
   if (st != Status::kOk) {
     return st;
   }
-  Result<uint64_t> off = alloc_.Allocate(image.size() + 8);
+  PutU64(&image, Checksum(image.data(), image.size()));
+  Result<uint64_t> off = alloc_.Allocate(image.size());
   if (!off.ok()) {
     return off.status();
   }
-  uint64_t csum = Checksum(image.data(), image.size());
   st = disk_->Write(off.value(), image.data(), image.size());
-  if (st == Status::kOk) {
-    st = disk_->Write(off.value() + image.size(), &csum, 8);
-  }
   if (st != Status::kOk) {
     StoreAllocNoFail cleanup;
-    alloc_.Free(off.value(), image.size() + 8);
+    alloc_.Free(off.value(), image.size());
     return st;
   }
   // No Flush here: the merged section only becomes reachable via the
-  // superblock the CALLING commit flips, and that commit barriers everything
-  // before the flip. The folded sections stay on disk untouched — the
+  // superblock the CALLING commit flips, and that commit's one barrier
+  // covers it. The folded sections stay on disk untouched — the
   // current superblock still names them — so their extents are reusable
   // only after the flip (ordinary shadow-paging discipline).
   StoreAllocNoFail bookkeeping;
   std::vector<Extent> next;
   next.reserve(chain_.size() - fold + 1);
   next.push_back(chain_[0]);
-  next.push_back(Extent{off.value(), image.size() + 8});
+  next.push_back(Extent{off.value(), image.size()});
   for (size_t i = 1; i <= fold; ++i) {
     pending_frees_.push_back(chain_[i]);
   }
@@ -303,21 +294,19 @@ Status SingleLevelStore::CommitSection(const std::vector<LabelTableRecord>* labe
     return st;
   }
 
-  Result<uint64_t> off = alloc_.Allocate(image.size() + 8);
+  // One write for the section and its checksum, then the superblock, then
+  // one barrier for both and the engine's node writes. The flip may land
+  // without them on a device that reorders; recovery then boots the
+  // previous commit (RecoverLocked).
+  PutU64(&image, Checksum(image.data(), image.size()));
+  Result<uint64_t> off = alloc_.Allocate(image.size());
   if (!off.ok()) {
     return off.status();
   }
-  uint64_t csum = Checksum(image.data(), image.size());
   st = disk_->Write(off.value(), image.data(), image.size());
-  if (st == Status::kOk) {
-    st = disk_->Write(off.value() + image.size(), &csum, 8);
-  }
-  if (st == Status::kOk) {
-    st = disk_->Flush();  // section + object images durable before the flip
-  }
   if (st != Status::kOk) {
     StoreAllocNoFail cleanup;
-    alloc_.Free(off.value(), image.size() + 8);
+    alloc_.Free(off.value(), image.size());
     return st;
   }
   ++epoch_;
@@ -329,16 +318,16 @@ Status SingleLevelStore::CommitSection(const std::vector<LabelTableRecord>* labe
     }
     chain_.clear();
   }
-  chain_.push_back(Extent{off.value(), image.size() + 8});
+  chain_.push_back(Extent{off.value(), image.size()});
   need_base_ = false;
   engine_.OnSectionWritten(base);
   last_commit_base_ = base;
-  last_section_bytes_ = image.size() + 8;
+  last_section_bytes_ = image.size();
   st = WriteSuperblock();
   if (st != Status::kOk) {
     return st;
   }
-  // Only after the superblock flip is it safe to reuse superseded extents.
+  // Only after the flip's barrier is it safe to reuse superseded extents.
   // The commit is durable at this point: releasing the superseded extents
   // must not fault halfway (a partial release with pending_frees_ cleared
   // would leak; a partial release with it kept would double-free later).
@@ -464,19 +453,18 @@ Status SingleLevelStore::SyncOneLocked(ObjectId id, const std::vector<uint8_t>& 
       return st;
     }
   }
-  uint64_t base = log_start() + log_head_;
-  Status st = disk_->Write(base, header, sizeof(header));
-  if (st == Status::kOk && !bytes.empty()) {
-    st = disk_->Write(base + sizeof(header), bytes.data(), bytes.size());
+  // One device write per record, then its barrier.
+  std::vector<uint8_t> record;
+  record.reserve(record_len);
+  for (uint64_t word : header) {
+    PutU64(&record, word);
   }
+  record.insert(record.end(), bytes.begin(), bytes.end());
+  PutU64(&record, Checksum(header, sizeof(header)) ^ Checksum(bytes.data(), bytes.size()));
+  Status st = disk_->Write(log_start() + log_head_, record.data(), record.size());
   if (st == Status::kOk) {
-    uint64_t csum = Checksum(header, sizeof(header)) ^ Checksum(bytes.data(), bytes.size());
-    st = disk_->Write(base + sizeof(header) + bytes.size(), &csum, 8);
+    st = disk_->Flush();
   }
-  if (st != Status::kOk) {
-    return st;
-  }
-  st = disk_->Flush();
   if (st != Status::kOk) {
     return st;
   }
@@ -573,23 +561,13 @@ Status SingleLevelStore::Recover(Kernel* kernel) {
   return st;
 }
 
-Status SingleLevelStore::RecoverLocked(Kernel* kernel) {
-  StoreAlloc::Check();
-  Superblock sb;
-  Status st = ReadSuperblocks(&sb);
-  if (st != Status::kOk) {
-    return st;
-  }
-  generation_ = sb.generation;
-  root_ = sb.root;
-  log_applied_seq_ = sb.log_applied_seq;
-  epoch_ = sb.epoch;
-
+Status SingleLevelStore::ReplayChain(const Superblock& sb, bool* mismatch) {
   // Replay the checkpoint chain in order: the base re-creates the label
   // table and the engine's full state, each increment folds its delta on
   // top. Every section must carry the Bε-tree engine byte: a section
   // written by the removed blob engine (byte 0) has a body this engine
   // cannot parse.
+  *mismatch = false;
   label_table_.clear();
   engine_.Reset();
   chain_.clear();
@@ -604,22 +582,28 @@ Status SingleLevelStore::RecoverLocked(Kernel* kernel) {
       return Status::kCorrupt;
     }
     std::vector<uint8_t> image(ext.length);
-    st = disk_->Read(ext.offset, image.data(), image.size());
+    Status st = disk_->Read(ext.offset, image.data(), image.size());
     if (st != Status::kOk) {
       return st;
     }
     uint64_t want;
     memcpy(&want, image.data() + image.size() - 8, 8);
-    if (Checksum(image.data(), image.size() - 8) != want) {
-      return Status::kCorrupt;
-    }
     storewire::Reader r{image.data(), image.size() - 8};
     uint64_t magic = r.U64();
     uint64_t epoch = r.U64();
     uint8_t kind = r.U8();
     uint8_t eng = r.U8();
-    if (r.fail || magic != kSectionMagic || epoch <= prev_epoch ||
-        kind != (i == 0 ? 0 : 1) || eng != kSectionEngine) {
+    bool sealed = Checksum(image.data(), image.size() - 8) == want;
+    if (sealed && (r.fail || magic != kSectionMagic)) {
+      return Status::kCorrupt;
+    }
+    // A torn or missing section, or a stale one whose epoch is out of
+    // place, is a write of this superblock's commit that never landed.
+    if (!sealed || epoch <= prev_epoch || (i + 1 == sb.chain_len && epoch != sb.epoch)) {
+      *mismatch = true;
+      return Status::kCorrupt;
+    }
+    if (kind != (i == 0 ? 0 : 1) || eng != kSectionEngine) {
       return Status::kCorrupt;
     }
     uint32_t n_labels = r.U32();
@@ -636,15 +620,55 @@ Status SingleLevelStore::RecoverLocked(Kernel* kernel) {
       return Status::kCorrupt;
     }
     st = engine_.LoadSectionBody(
-        i == 0, &r, [this](uint32_t id, std::vector<uint8_t> bytes) {
-          label_table_[id] = std::move(bytes);
-        });
+        i == 0, &r,
+        [this](uint32_t id, std::vector<uint8_t> bytes) { label_table_[id] = std::move(bytes); },
+        mismatch);
     if (st != Status::kOk) {
       return st;
     }
     prev_epoch = epoch;
     chain_.push_back(ext);
   }
+  return Status::kOk;
+}
+
+Status SingleLevelStore::RecoverLocked(Kernel* kernel) {
+  StoreAlloc::Check();
+  std::vector<SlotCopy> copies;
+  Status st = ReadSuperblocks(&copies);
+  if (st != Status::kOk) {
+    return st;
+  }
+  // The newest superblock's chain is validated whole before anything
+  // reaches the kernel. A mismatch is read once more, to rule out a
+  // transient read fault; if it persists, the flip landed without a write
+  // it shared a barrier with, and the other slot holds the previous
+  // commit, whose extents no commit reuses until this one's barrier.
+  const SlotCopy* boot = nullptr;
+  for (const SlotCopy& c : copies) {
+    bool mismatch = false;
+    st = ReplayChain(c.sb, &mismatch);
+    if (st != Status::kOk && mismatch) {
+      st = ReplayChain(c.sb, &mismatch);
+    }
+    if (st == Status::kOk) {
+      boot = &c;
+      break;
+    }
+    if (!mismatch) {
+      return st;
+    }
+  }
+  if (boot == nullptr) {
+    return st;
+  }
+  generation_ = boot->sb.generation;
+  root_ = boot->sb.root;
+  log_applied_seq_ = boot->sb.log_applied_seq;
+  epoch_ = boot->sb.epoch;
+  // The next flip must target the slot NOT holding the superblock this boot
+  // trusts, so a faulted first commit can never destroy it.
+  which_sb_ = boot->slot == 0;
 
   // Rebuild the allocator: carve out the tree's node extents and the
   // chain's section extents from a freshly reset free pool.

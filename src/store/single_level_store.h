@@ -18,10 +18,11 @@
 //    message batch, this epoch's label delta included — O(dirty) bytes in
 //    one sequential write. A base section carries the full label table and
 //    a body naming the freshly flushed tree's root. A superblock flip
-//    commits the whole state atomically. A base is forced on format, after a
-//    restore that could not reproduce the on-disk label-id space, when the
-//    engine's staged messages outgrow its root buffer, and every
-//    `max_increments` epochs (bounding recovery replay length).
+//    commits the whole state atomically; tree nodes, section and superblock
+//    share ONE barrier. A base is forced on format, after a restore that
+//    could not reproduce the on-disk label-id space, when the engine's
+//    staged messages outgrow its root buffer, and every `max_increments`
+//    epochs (bounding recovery replay length).
 //  * per-object sync (fsync path): the object's SELF-CONTAINED image is
 //    appended to the sequential write-ahead log and barriered (a log record
 //    must replay without any label table). Logged updates are applied in
@@ -39,8 +40,12 @@
 //    atomicity comes from shadow paging + the superblock flip, not the
 //    checksum).
 //  * recovery: pick the newer valid superblock, replay the section chain in
-//    order (base, then each increment — epochs must ascend) to rebuild the
-//    label table and the tree, hand the label table to the kernel FIRST
+//    order (base, then each increment — epochs must ascend to the
+//    superblock's) to rebuild the label table and the tree. A checksum,
+//    seal or epoch mismatch there means the flip landed without a write it
+//    shared a barrier with (a device may reorder writes between barriers):
+//    unless a re-read clears it, recovery boots the other slot's, previous,
+//    commit instead. Then hand the label table to the kernel FIRST
 //    (one re-intern pass, yielding the old-id → new-id remap), then load
 //    every object and finally replay valid log records with seq > the
 //    superblock's applied sequence. A torn log record ends replay
@@ -200,6 +205,10 @@ class SingleLevelStore : public PersistTarget {
     uint64_t checksum = 0;
   };
   static_assert(sizeof(Superblock) <= 4096, "superblock must fit its slot");
+  struct SlotCopy {
+    uint64_t slot = 0;  // byte offset of the slot it was read from
+    Superblock sb;
+  };
 
   static uint64_t Checksum(const void* data, size_t len);
 
@@ -216,14 +225,20 @@ class SingleLevelStore : public PersistTarget {
                          const std::vector<uint8_t>& pages) REQUIRES(mu_);
   Result<uint64_t> TouchObjectLocked(ObjectId id) REQUIRES(mu_);
   Status RecoverLocked(Kernel* kernel) REQUIRES(mu_);
-  // Writes the next superblock to slot which_sb_ and flushes. Format sets
-  // blank_slot_b (with which_sb_ at slot A) to invalidate slot B as well.
+  // Writes the next superblock to slot which_sb_, then flushes: the one
+  // barrier that makes the flip and every write before it durable. Format
+  // sets blank_slot_b (with which_sb_ at slot A) to invalidate slot B too.
   Status WriteSuperblock(bool blank_slot_b = false) REQUIRES(mu_);
-  Status ReadSuperblocks(Superblock* out) REQUIRES(mu_);
+  // The valid superblock copies, newest generation first.
+  Status ReadSuperblocks(std::vector<SlotCopy>* out) REQUIRES(mu_);
+  // Replays `sb`'s section chain into label_table_, engine_ and chain_.
+  // Sets *mismatch when the chain is not the bytes that superblock's commit
+  // wrote (a checksum, seal or epoch mismatch); any other error is final.
+  Status ReplayChain(const Superblock& sb, bool* mismatch) REQUIRES(mu_);
   // The single commit point: writes one checkpoint section (base if the
   // chain is empty, a base was demanded, or the engine wants one; else an
-  // increment whose body the engine emits), flushes, flips the superblock,
-  // then releases superseded extents. Advances epoch_.
+  // increment whose body the engine emits), flips the superblock, flushes
+  // once, then releases superseded extents. Advances epoch_.
   Status CommitSection(const std::vector<LabelTableRecord>* label_delta)
       REQUIRES(mu_);
   // Chain at superblock capacity but no base due: merge the oldest half of
