@@ -211,6 +211,8 @@ void BM_RegistryLeqContended(::benchmark::State& state) {
     r ^= contended::g_reg->Leq(a, b);
     ::benchmark::DoNotOptimize(r);
   }
+  // Summed over threads and divided by wall time: aggregate checks/s.
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   if (state.thread_index() == 0) {
     state.counters["shards"] =
         ::benchmark::Counter(static_cast<double>(contended::g_reg->shard_count()));

@@ -120,6 +120,8 @@ void BM_ObjTableResolveContended(::benchmark::State& state) {
     }
     ::benchmark::DoNotOptimize(buf);
   }
+  // Summed over threads and divided by wall time: aggregate resolves/s.
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   if (state.thread_index() == 0) {
     TearDownWorld(state);
   }

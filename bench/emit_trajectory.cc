@@ -9,8 +9,10 @@
 //
 // Parsing is a tolerant line scan over the one-field-per-line JSON the
 // benchmark library emits — each "benchmarks" entry contributes one row
-// {bench, threads, arg, ns_per_op, counters} keyed off its "name"/
-// "run_type"/"real_time"/"time_unit" lines, aggregate rows are skipped —
+// {bench, threads, arg, ns_per_op, items_per_second, counters} keyed off
+// its "name"/"run_type"/"real_time"/"items_per_second"/"time_unit" lines
+// (items_per_second only for rows that report it), aggregate rows are
+// skipped —
 // so the tool has no JSON-library dependency and survives harmless format
 // drift. Benchmark counters named "ctr_*" (the library prints them after
 // "time_unit", so rows flush on the next "name" line or EOF) are carried
@@ -36,6 +38,9 @@ struct Row {
   int threads = 1;
   long long arg = -1;     // first numeric path component, -1 if none
   double ns_per_op = 0.0;
+  // Aggregate items/s over all threads, for rows that SetItemsProcessed
+  // (0 = not reported).
+  double items_per_second = 0.0;
   // "ctr_*" benchmark counters, prefix stripped, in emission order.
   std::vector<std::pair<std::string, double>> counters;
 };
@@ -162,6 +167,10 @@ bool ScanFile(const std::string& path, const std::string& tag,
       have_time = true;
       continue;
     }
+    if (NumField(line, "items_per_second", &v)) {
+      cur.items_per_second = v;
+      continue;
+    }
     std::string u = StrField(line, "time_unit");
     if (!u.empty()) {
       unit = u;
@@ -261,6 +270,9 @@ int main(int argc, char** argv) {
     os << "    {\"bench\": \"" << JsonEscape(r.bench) << "\", \"full_name\": \""
        << JsonEscape(r.full_name) << "\", \"threads\": " << r.threads
        << ", \"arg\": " << r.arg << ", \"ns_per_op\": " << r.ns_per_op;
+    if (r.items_per_second > 0) {
+      os << ", \"items_per_second\": " << r.items_per_second;
+    }
     if (!r.counters.empty()) {
       os << ", \"counters\": {";
       for (size_t j = 0; j < r.counters.size(); ++j) {

@@ -21,6 +21,10 @@ inline uint64_t PackW5(uint32_t olabel, uint16_t aux, int8_t code, uint8_t kind)
          (static_cast<uint64_t>(static_cast<uint8_t>(code)) << 8) | kind;
 }
 
+inline uint32_t SaturateDur(uint64_t ns) {
+  return ns > 0xffffffffull ? 0xffffffffu : static_cast<uint32_t>(ns);
+}
+
 inline void UnpackEvent(const uint64_t w[kEventWords], Event* e) {
   e->ts_ns = w[0];
   e->a = w[1];
@@ -93,6 +97,29 @@ const char* StoreOpName(uint8_t op) {
   return "unknown";
 }
 
+// One thread slot's recorder storage: the event ring plus its histograms.
+// Single writer (the slot's current thread — slot ids are reused only
+// after the owning thread exits), any number of racing readers. Above
+// kTraceSlots concurrently-live threads the masked slot ids alias and
+// writers would share a ring; interleaved Append word stores could then
+// publish an event pairing one request's payload with another's labels,
+// which the read-side flow check must never be allowed to pass. The ring
+// therefore tracks its claiming writer: a store by a DIFFERENT unmasked
+// ThreadSlot id sets `multi_writer`, and Snapshot withholds the whole
+// ring (sticky until Reset) — degraded observability, never mixed labels.
+struct SlotRing {
+  std::atomic<uint64_t> head{0};  // events ever recorded in this slot
+  // 1 + the unmasked EpochDomain::ThreadSlot() of the writer that claimed
+  // this ring (0 = unclaimed). Unmasked ids are dense and lowest-free-
+  // first, so a mismatch can only happen once concurrently-live threads
+  // exceed kTraceSlots — exactly the aliasing regime.
+  std::atomic<uint32_t> owner{0};
+  std::atomic<uint32_t> multi_writer{0};  // sticky; cleared only by Reset
+  std::atomic<uint64_t> words[kRingEvents * kEventWords];
+  std::atomic<uint64_t> sys_hist[kMaxSyscallHist][kHistBuckets];
+  std::atomic<uint64_t> store_hist[kNumStoreOps][kHistBuckets];
+};
+
 Recorder& Recorder::Global() {
   // Leaked: events are recorded from teardown paths (static destructors of
   // test worlds, crash handlers) that may outlive any non-leaked object.
@@ -137,11 +164,6 @@ SlotRing& Recorder::ForCurrentThread() {
   return *r;
 }
 
-Taint& Scratch() {
-  thread_local Taint t;
-  return t;
-}
-
 #if HISTAR_TRACE
 
 namespace {
@@ -167,75 +189,23 @@ inline void Append(SlotRing& ring, uint64_t ts_ns, uint64_t a, uint64_t b,
 
 }  // namespace
 
-void RecordSyscall(uint16_t syscall_kind, int8_t status_code, uint64_t self_or_b,
-                   uint64_t ts_ns) {
-  SlotRing& ring = Recorder::Global().ForCurrentThread();
-  const Taint& t = Scratch();
-  Append(ring, ts_ns, t.oid, self_or_b, 0, PackW4(kDurPending, t.tlabel),
-         PackW5(t.olabel, syscall_kind, status_code,
-                static_cast<uint8_t>(EventKind::kSyscall)));
-}
-
-uint64_t BeginSyscallGroup() {
-  return Recorder::Global().ForCurrentThread().head.load(
-      std::memory_order_relaxed);
-}
-
-void FinishSyscallGroup(uint64_t start_seq, uint64_t t0_ns, uint64_t t1_ns) {
-  SlotRing& ring = Recorder::Global().ForCurrentThread();
-  // Patch exactly the kSyscall events this group recorded: [start_seq,
-  // head). Non-syscall events (table-lock markers, epoch retires/advances,
-  // fault events recorded inside ExecLocked) interleave freely within a
-  // group and are skipped — the exact range means no scan cap to outgrow,
-  // so no event is left kDurPending forever. Same-thread read-modify of
-  // our own relaxed words is sound (single writer per ring).
-  uint64_t head = ring.head.load(std::memory_order_relaxed);
-  // A group larger than the ring overwrote its own oldest events; the
-  // surviving window is still entirely this group's, so clamping loses
-  // nothing and keeps the slot arithmetic in range.
-  uint64_t lo = head > kRingEvents ? head - kRingEvents : 0;
-  if (start_seq < lo) {
-    start_seq = lo;
-  }
-  // Pass 1: count the group's pending syscall events, so the amortized
-  // share divides by exactly what gets patched.
-  size_t n = 0;
-  for (uint64_t seq = start_seq; seq < head; ++seq) {
-    std::atomic<uint64_t>* w =
-        &ring.words[(seq & (kRingEvents - 1)) * kEventWords];
-    if (static_cast<uint8_t>(w[5].load(std::memory_order_relaxed)) ==
-            static_cast<uint8_t>(EventKind::kSyscall) &&
-        static_cast<uint32_t>(w[4].load(std::memory_order_relaxed) >> 32) ==
-            kDurPending) {
-      ++n;
-    }
-  }
-  if (n == 0) {
+void CloseSyscallGroup(uint64_t self, uint64_t t0_ns, uint64_t t1_ns) {
+  ThreadTrace& l = Local();
+  if (l.staged == 0) {
     return;
   }
-  uint64_t span = t1_ns >= t0_ns ? t1_ns - t0_ns : 0;
-  uint64_t per = span / n;
-  uint32_t dur = per > 0xfffffffeull ? 0xfffffffeu : static_cast<uint32_t>(per);
-  // Pass 2: patch and feed the per-kind histograms.
-  for (uint64_t seq = start_seq; seq < head; ++seq) {
-    std::atomic<uint64_t>* w =
-        &ring.words[(seq & (kRingEvents - 1)) * kEventWords];
-    uint64_t w5 = w[5].load(std::memory_order_relaxed);
-    if (static_cast<uint8_t>(w5) != static_cast<uint8_t>(EventKind::kSyscall)) {
-      continue;
-    }
-    uint64_t w4 = w[4].load(std::memory_order_relaxed);
-    if (static_cast<uint32_t>(w4 >> 32) != kDurPending) {
-      continue;
-    }
-    w[4].store(PackW4(dur, static_cast<uint32_t>(w4)),
-               std::memory_order_relaxed);
-    uint16_t kind = static_cast<uint16_t>(w5 >> 16);
-    size_t row = kind < kMaxSyscallHist ? kind : kMaxSyscallHist - 1;
-    std::atomic<uint64_t>& cell = ring.sys_hist[row][HistBucket(dur)];
-    cell.store(cell.load(std::memory_order_relaxed) + 1,
-               std::memory_order_relaxed);
+  SlotRing& ring = Recorder::Global().ForCurrentThread();
+  uint32_t dur = SaturateDur((t1_ns >= t0_ns ? t1_ns - t0_ns : 0) / l.staged);
+  size_t bucket = HistBucket(dur);
+  for (size_t i = 0; i < l.staged; ++i) {
+    const StagedSyscall& e = l.stage[i];
+    Append(ring, t0_ns, e.taint.oid, self, 0, PackW4(dur, e.taint.tlabel),
+           PackW5(e.taint.olabel, e.kind, e.code, static_cast<uint8_t>(EventKind::kSyscall)));
+    size_t row = e.kind < kMaxSyscallHist ? e.kind : kMaxSyscallHist - 1;
+    std::atomic<uint64_t>& cell = ring.sys_hist[row][bucket];
+    cell.store(cell.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   }
+  l.staged = 0;
 }
 
 void RecordEvent(EventKind kind, uint64_t a, uint64_t b, uint64_t c, int8_t code,
@@ -253,8 +223,7 @@ void RecordStoreOp(StoreOp op, int8_t status_code, uint64_t dur_ns, uint64_t byt
                    uint64_t write_ops) {
   SlotRing& ring = Recorder::Global().ForCurrentThread();
   const Taint& t = Scratch();
-  uint32_t dur = dur_ns > 0xfffffffeull ? 0xfffffffeu
-                                        : static_cast<uint32_t>(dur_ns);
+  uint32_t dur = SaturateDur(dur_ns);
   Append(ring, NowNs(), bytes, write_ops, 0, PackW4(dur, t.tlabel),
          PackW5(t.olabel, static_cast<uint16_t>(op), status_code,
                 static_cast<uint8_t>(EventKind::kStoreCommit)));
@@ -318,9 +287,6 @@ size_t Snapshot(std::vector<SlotEvent>* out, size_t max_per_slot) {
       }
       SlotEvent se;
       UnpackEvent(w, &se.event);
-      if (se.event.dur_ns == kDurPending) {
-        se.event.dur_ns = 0;  // group not closed yet
-      }
       se.slot = static_cast<uint32_t>(slot);
       se.seq = seq;
       out->push_back(se);

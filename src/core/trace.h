@@ -22,12 +22,18 @@
 //     check itself happens at READ time, in the kernel, against the
 //     reader's raised label (paper §3: any channel out of the kernel is
 //     covered by the label rules — including this one).
+//   * Syscall events are written once, when their dispatch group closes:
+//     each executed request stages (kind, Status, taint), and the close
+//     appends them with the group's span / n (one clock pair per group).
+//     So a group's events become visible together at its close; a batched
+//     group holds one TableLock or epoch guard and never blocks, so that
+//     window is bounded.
 //   * Latency histograms are per-slot log2 ns buckets (no shared
 //     cachelines), per syscall kind and per store operation; readers sum
 //     across slots.
 //
-// Compile-out: -DHISTAR_TRACE=0 turns every Record*/taint call into an
-// empty inline (the bench overhead gate compares the two builds,
+// Compile-out: -DHISTAR_TRACE=0 turns every stage/close/Record*/taint call
+// into an empty inline (the bench overhead gate compares the two builds,
 // scripts/check_bench_pr10.sh). The clock helpers below stay compiled in
 // either way — deadline waits still need a monotonic clock — and are the
 // ONLY sanctioned raw-clock reads in src/ (histar-lint rule
@@ -40,6 +46,7 @@
 #endif
 
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -115,7 +122,7 @@ struct Event {
   uint64_t a = 0;       // kind-specific operands (see EventKind)
   uint64_t b = 0;
   uint64_t c = 0;
-  uint32_t dur_ns = 0;  // saturating; kDurPending until the group closes
+  uint32_t dur_ns = 0;  // saturating; a syscall's is its group's span / n
   uint32_t tlabel = 0;  // acting thread's LabelId (0 = none recorded)
   uint32_t olabel = 0;  // last resolved object's LabelId (0 = none)
   uint32_t gen = 0;     // label generation the ids belong to (see below)
@@ -128,10 +135,6 @@ struct Event {
 // w5=olabel<<32|aux<<16|code<<8|kind, w6=label generation (low 32 bits).
 inline constexpr size_t kEventWords = 7;
 
-// Group-amortized durations are patched in after the fact; until then the
-// event's dur reads as this sentinel (readers report it as 0).
-inline constexpr uint32_t kDurPending = 0xffffffffu;
-
 // ---- per-slot storage -------------------------------------------------------
 
 inline constexpr size_t kTraceSlots = 256;   // ThreadSlot() & (kTraceSlots-1)
@@ -140,6 +143,10 @@ inline constexpr size_t kHistBuckets = 32;   // log2 ns buckets
 // Histogram rows per slot for syscall kinds; >= kNumSyscallKinds with
 // headroom for appended ABI descriptors (static_asserted in kernel.h).
 inline constexpr size_t kMaxSyscallHist = 64;
+// Syscall events one dispatch group may stage; the dispatcher caps its
+// lock groups at this size (Kernel::GrowBatchGroup), so the stage is a
+// fixed thread-local array.
+inline constexpr size_t kStageEvents = 64;
 
 // Bucket index for a log2 ns histogram: bucket b holds [2^b, 2^(b+1)),
 // bucket 0 holds [0, 2), the last bucket saturates (>= 2^(kHistBuckets-1)
@@ -152,28 +159,8 @@ inline constexpr size_t HistBucket(uint64_t ns) {
   return b < kHistBuckets - 1 ? b : kHistBuckets - 1;
 }
 
-// One thread slot's recorder storage: the event ring plus its histograms.
-// Single writer (the slot's current thread — slot ids are reused only
-// after the owning thread exits), any number of racing readers. Above
-// kTraceSlots concurrently-live threads the masked slot ids alias and
-// writers would share a ring; interleaved Append word stores could then
-// publish an event pairing one request's payload with another's labels,
-// which the read-side flow check must never be allowed to pass. The ring
-// therefore tracks its claiming writer: a store by a DIFFERENT unmasked
-// ThreadSlot id sets `multi_writer`, and Snapshot withholds the whole
-// ring (sticky until Reset) — degraded observability, never mixed labels.
-struct SlotRing {
-  std::atomic<uint64_t> head{0};  // events ever recorded in this slot
-  // 1 + the unmasked EpochDomain::ThreadSlot() of the writer that claimed
-  // this ring (0 = unclaimed). Unmasked ids are dense and lowest-free-
-  // first, so a mismatch can only happen once concurrently-live threads
-  // exceed kTraceSlots — exactly the aliasing regime.
-  std::atomic<uint32_t> owner{0};
-  std::atomic<uint32_t> multi_writer{0};  // sticky; cleared only by Reset
-  std::atomic<uint64_t> words[kRingEvents * kEventWords];
-  std::atomic<uint64_t> sys_hist[kMaxSyscallHist][kHistBuckets];
-  std::atomic<uint64_t> store_hist[kNumStoreOps][kHistBuckets];
-};
+// One thread slot's event ring and histograms (layout in trace.cc).
+struct SlotRing;
 
 // The process-wide recorder: lazily allocated slot rings. A leaked
 // singleton for the same reason EpochDomain is — events may be recorded
@@ -215,29 +202,50 @@ class Recorder {
 void SetLabelGeneration(uint32_t gen);
 uint32_t LabelGeneration();
 
-// ---- taint scratch ----------------------------------------------------------
+// ---- taint scratch and syscall stage ----------------------------------------
 //
 // Thread-local scratch the kernel stamps while executing a request:
 // GetThread stamps the acting thread's label (first write wins — the first
 // thread resolved is `self`), ResolveEntry stamps the last resolved
-// object's label and id (last write wins). RecordSyscall folds the scratch
-// into the event; ResetTaint runs once per dispatched request.
+// object's label and id (last write wins). StageSyscall copies it into the
+// thread's stage; ResetTaint runs once per dispatched request.
 struct Taint {
   uint32_t tlabel = 0;
   uint32_t olabel = 0;
   uint64_t oid = 0;
 };
 
-Taint& Scratch();
+struct StagedSyscall {
+  Taint taint;
+  uint16_t kind = 0;
+  int8_t code = 0;
+};
+
+// The scratch plus the stage: the open dispatch group's executed requests,
+// waiting for the group's duration. Constant-initialized, so access needs
+// no first-use guard.
+struct ThreadTrace {
+  Taint scratch;
+  size_t staged = 0;
+  StagedSyscall stage[kStageEvents];
+};
+
+inline ThreadTrace& Local() {
+  thread_local ThreadTrace t;
+  return t;
+}
+
+inline Taint& Scratch() { return Local().scratch; }
 
 #if HISTAR_TRACE
 
-inline void ResetTaint() {
-  Taint& t = Scratch();
-  t.tlabel = 0;
-  t.olabel = 0;
-  t.oid = 0;
-}
+// Staged events not yet closed: zero at every group start, because a
+// batched group never re-enters the dispatcher and an unbatched request
+// (a gate whose entry issues nested syscalls included) stages only after
+// it returns.
+inline size_t StagedSyscalls() { return Local().staged; }
+
+inline void ResetTaint() { Scratch() = Taint{}; }
 inline void StampThread(uint32_t label_id) {
   Taint& t = Scratch();
   if (t.tlabel == 0) {
@@ -250,28 +258,18 @@ inline void StampObject(uint64_t oid, uint32_t label_id) {
   t.oid = oid;
 }
 
-// Records one syscall event from the current taint scratch. `ts_ns` is the
-// enclosing group's start timestamp; dur is left kDurPending until
-// FinishSyscallGroup patches the amortized group duration in (one clock
-// pair per lock group, not two clock reads per entry — that is what keeps
-// the warm lock-free row inside the 5% overhead gate).
-void RecordSyscall(uint16_t syscall_kind, int8_t status_code, uint64_t self_or_b,
-                   uint64_t ts_ns);
+inline void StageSyscall(uint16_t syscall_kind, int8_t status_code) {
+  ThreadTrace& l = Local();
+  assert(l.staged < kStageEvents);
+  l.stage[l.staged++] = StagedSyscall{l.scratch, syscall_kind, status_code};
+}
 
-// Opens a syscall group: returns the calling slot's current head sequence,
-// to be handed back to FinishSyscallGroup. Cheap (one relaxed load).
-uint64_t BeginSyscallGroup();
+// Closes the dispatch group `self` ran between t0 and t1: appends each
+// staged event once, stamped t0 with dur = (t1-t0)/n, bumps its kind's
+// histogram, and empties the stage.
+void CloseSyscallGroup(uint64_t self, uint64_t t0_ns, uint64_t t1_ns);
 
-// Closes the syscall group opened at `start_seq`, executed between t0 and
-// t1: patches dur = (t1-t0)/n into exactly the n pending kSyscall events
-// recorded in [start_seq, head) and feeds the per-kind latency histograms.
-// Non-syscall events recorded inside the group (table-lock markers, epoch
-// advances/retires, fault events) are skipped with no bound on how many
-// may interleave — the exact range replaces the old bounded backward scan,
-// which stopped early and left events pending forever.
-void FinishSyscallGroup(uint64_t start_seq, uint64_t t0_ns, uint64_t t1_ns);
-
-// Generic event record (table locks, ring chains, epoch, faults). Reads
+// Generic event record (table locks, epoch, faults). Reads
 // the clock itself when ts_ns == 0.
 void RecordEvent(EventKind kind, uint64_t a, uint64_t b, uint64_t c,
                  int8_t code = 0, uint16_t aux = 0, uint32_t dur_ns = 0,
@@ -289,12 +287,12 @@ void RecordFatal(int8_t status_code, uint64_t detail);
 
 #else  // !HISTAR_TRACE — recording compiles out entirely.
 
+inline size_t StagedSyscalls() { return 0; }
 inline void ResetTaint() {}
 inline void StampThread(uint32_t) {}
 inline void StampObject(uint64_t, uint32_t) {}
-inline void RecordSyscall(uint16_t, int8_t, uint64_t, uint64_t) {}
-inline uint64_t BeginSyscallGroup() { return 0; }
-inline void FinishSyscallGroup(uint64_t, uint64_t, uint64_t) {}
+inline void StageSyscall(uint16_t, int8_t) {}
+inline void CloseSyscallGroup(uint64_t, uint64_t, uint64_t) {}
 inline void RecordEvent(EventKind, uint64_t, uint64_t, uint64_t, int8_t = 0,
                         uint16_t = 0, uint32_t = 0, uint64_t = 0) {}
 inline void RecordStoreOp(StoreOp, int8_t, uint64_t, uint64_t, uint64_t) {}

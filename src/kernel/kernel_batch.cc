@@ -16,6 +16,7 @@
 // Object ids for create-type requests are preallocated while NO lock is
 // held (AllocObjectId briefly probes the candidate's shard itself), then
 // folded into the group footprint — the same order the per-call path used.
+#include <cassert>
 #include <type_traits>
 
 #include "src/core/trace.h"
@@ -39,20 +40,14 @@ constexpr size_t ReqIndexOf() {
   }
 }
 
-// Folds the taint scratch + completion status into one flight-recorder
-// syscall event for request k of a dispatch group (duration patched later
-// by FinishSyscallGroup — one clock pair per group, not per entry).
-inline void TraceOne(const SyscallReq& req, const SyscallRes& res, ObjectId self,
-                     uint64_t t0_ns) {
-#if HISTAR_TRACE
-  trace::RecordSyscall(static_cast<uint16_t>(req.index()),
-                       static_cast<int8_t>(ResStatus(res)), self, t0_ns);
-#else
-  (void)req;
-  (void)res;
-  (void)self;
-  (void)t0_ns;
-#endif
+// Stages request k's flight-recorder syscall event: its kind, completion
+// status and the taint scratch its execution stamped. The status lookup is
+// an out-of-line call, so it too compiles out with recording.
+inline void StageOne(const SyscallReq& req, const SyscallRes& res) {
+  if constexpr (HISTAR_TRACE) {
+    trace::StageSyscall(static_cast<uint16_t>(req.index()),
+                        static_cast<int8_t>(ResStatus(res)));
+  }
 }
 
 // Requests that consume a preallocated object id (create paths).
@@ -326,9 +321,11 @@ size_t Kernel::GrowBatchGroup(ObjectId self, std::span<const SyscallReq> reqs, s
   // entries NOW — AllocObjectId probes a shard itself and must run before
   // the group lock (kernel.h helper contract). A group is homogeneous in
   // lockfree-ness so SubmitBatch can run a lock-free group with no
-  // TableLock at all.
+  // TableLock at all. A group has at most trace::kStageEvents members, the
+  // size of the recorder's per-thread stage; a longer run of batchable
+  // requests becomes several groups.
   size_t j = i;
-  while (j < reqs.size()) {
+  while (j < reqs.size() && j - i < trace::kStageEvents) {
     BatchPlan p = (j == i) ? first : PlanOf(self, reqs[j]);
     if (!p.batchable) {
       break;
@@ -361,14 +358,14 @@ Status Kernel::SubmitBatch(ObjectId self, std::span<const SyscallReq> reqs,
   CountSyscalls(self, reqs.size());
   size_t i = 0;
   while (i < reqs.size()) {
+    assert(trace::StagedSyscalls() == 0);
     BatchPlan first = PlanOf(self, reqs[i]);
     if (!first.batchable) {
       uint64_t t0 = trace::RecordNowNs();
-      uint64_t g0 = trace::BeginSyscallGroup();
       trace::ResetTaint();
       ExecUnbatched(self, reqs[i], &res[i]);
-      TraceOne(reqs[i], res[i], self, t0);
-      trace::FinishSyscallGroup(g0, t0, trace::RecordNowNs());
+      StageOne(reqs[i], res[i]);
+      trace::CloseSyscallGroup(self, t0, trace::RecordNowNs());
       ++i;
       continue;
     }
@@ -376,12 +373,11 @@ Status Kernel::SubmitBatch(ObjectId self, std::span<const SyscallReq> reqs,
     bool exclusive = false;
     std::vector<ObjectId> new_ids;
     size_t j = GrowBatchGroup(self, reqs, i, first, &mask, &exclusive, &new_ids);
-    // ONE clock pair per group: per-entry events record with a pending
-    // duration and FinishSyscallGroup patches the amortized share in —
-    // that, plus zero shared atomics in the recorder, is what keeps the
-    // warm lock-free row inside the 5% gate (scripts/check_bench_pr10.sh).
+    // ONE clock pair per group: each executed request stages its event and
+    // CloseSyscallGroup writes them all with the amortized share — that,
+    // plus zero shared atomics in the recorder, is what keeps the warm
+    // lock-free row inside the 5% gate (scripts/check_bench_pr10.sh).
     uint64_t t0 = trace::RecordNowNs();
-    uint64_t g0 = trace::BeginSyscallGroup();
     if (first.lockfree) {
       // Lock-free read group (PR 6): ZERO shard locks. The epoch guard pins
       // every published entry the group can reach; PublishedReadMode routes
@@ -399,7 +395,7 @@ Status Kernel::SubmitBatch(ObjectId self, std::span<const SyscallReq> reqs,
       for (size_t k = i; k < j; ++k) {
         trace::ResetTaint();
         ExecLocked(self, reqs[k], &res[k], new_ids, &next_new_id);
-        TraceOne(reqs[k], res[k], self, t0);
+        StageOne(reqs[k], res[k]);
       }
     } else {
       // The group's single lock round-trip: every shard any member touches,
@@ -413,14 +409,16 @@ Status Kernel::SubmitBatch(ObjectId self, std::span<const SyscallReq> reqs,
       for (size_t k = i; k < j; ++k) {
         trace::ResetTaint();
         ExecLocked(self, reqs[k], &res[k], new_ids, &next_new_id);
-        TraceOne(reqs[k], res[k], self, t0);
+        StageOne(reqs[k], res[k]);
       }
+    }
+    trace::CloseSyscallGroup(self, t0, trace::RecordNowNs());
+    if (!first.lockfree) {
       // Lock-free groups deliberately record NO kTableLock event — the
       // zero-lock property shows up in the trace as its absence.
       trace::RecordEvent(trace::EventKind::kTableLock, mask,
                          exclusive ? 1 : 0, j - i, 0, 0, 0, t0);
     }
-    trace::FinishSyscallGroup(g0, t0, trace::RecordNowNs());
     i = j;
   }
   return Status::kOk;
@@ -673,15 +671,14 @@ Status Kernel::sys_gate_invoke(ObjectId self, ContainerEntry gate, const Label& 
   // one syscall charged, same as SubmitBatch would — and one trace event,
   // recorded here since the fast path bypasses the dispatcher's loop.
   CountSyscalls(self, 1);
+  assert(trace::StagedSyscalls() == 0);
   uint64_t t0 = trace::RecordNowNs();
-  uint64_t g0 = trace::BeginSyscallGroup();
   trace::ResetTaint();
   Status st = DoGateInvoke(self, gate, request_label, request_clearance, verify_label);
-#if HISTAR_TRACE
-  trace::RecordSyscall(static_cast<uint16_t>(ReqIndexOf<GateInvokeReq>()),
-                       static_cast<int8_t>(st), self, t0);
-#endif
-  trace::FinishSyscallGroup(g0, t0, trace::RecordNowNs());
+  // Staged only now: the entry's nested syscalls closed their own groups.
+  trace::StageSyscall(static_cast<uint16_t>(ReqIndexOf<GateInvokeReq>()),
+                      static_cast<int8_t>(st));
+  trace::CloseSyscallGroup(self, t0, trace::RecordNowNs());
   return st;
 }
 

@@ -25,25 +25,16 @@
 #include <cstring>
 
 #include "src/core/trace.h"
+#include "src/core/wire.h"
 #include "src/kernel/kernel.h"
 
 namespace histar {
 
 namespace {
 
-void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
+using wire::PutU32;
+using wire::PutU64;
+using wire::PutU8;
 
 void PutBytes(std::vector<uint8_t>* out, const void* data, size_t len) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
@@ -55,44 +46,9 @@ void PutString(std::vector<uint8_t>* out, const std::string& s) {
   PutBytes(out, s.data(), s.size());
 }
 
-// Cursor-based reader with bounds checking.
-struct Reader {
-  const uint8_t* data;
-  size_t len;
-  size_t pos = 0;
-  bool fail = false;
-
-  uint8_t U8() {
-    if (pos + 1 > len) {
-      fail = true;
-      return 0;
-    }
-    return data[pos++];
-  }
-  uint32_t U32() {
-    if (pos + 4 > len) {
-      fail = true;
-      return 0;
-    }
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(data[pos + static_cast<size_t>(i)]) << (8 * i);
-    }
-    pos += 4;
-    return v;
-  }
-  uint64_t U64() {
-    if (pos + 8 > len) {
-      fail = true;
-      return 0;
-    }
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(data[pos + static_cast<size_t>(i)]) << (8 * i);
-    }
-    pos += 8;
-    return v;
-  }
+// The blob cursor: the shared little-endian reader plus the blob format's
+// raw-byte, string and label fields.
+struct BlobReader : wire::Reader {
   bool Bytes(void* out, size_t n) {
     if (pos + n > len) {
       fail = true;
@@ -272,7 +228,7 @@ Status Kernel::RestoreLabelTable(const std::vector<LabelTableRecord>& records,
 }
 
 Status Kernel::RestoreObject(const std::vector<uint8_t>& bytes) {
-  Reader r{bytes.data(), bytes.size()};
+  BlobReader r{{bytes.data(), bytes.size()}};
   uint8_t format = r.U8();
   if (r.fail || (format != kBlobFormatInline && format != kBlobFormatLabelRef)) {
     return Status::kCorrupt;

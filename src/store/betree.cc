@@ -91,9 +91,9 @@ uint64_t FoldSeal(uint64_t seal, uint64_t csum) {
 
 // Appends the node's image to `out`; returns its seal.
 uint64_t SerializeNode(const Node& n, std::vector<uint8_t>* out) {
-  using storewire::PutU32;
-  using storewire::PutU64;
-  using storewire::PutU8;
+  using wire::PutU32;
+  using wire::PutU64;
+  using wire::PutU8;
   PutU64(out, kNodeMagic);
   PutU8(out, static_cast<uint8_t>(n.level));
   if (n.level == 0) {
@@ -534,7 +534,7 @@ Status BetreeEngine::WriteDirtyNodes(Node* root) {
 Status BetreeEngine::EmitSectionBody(bool base,
                                      const std::vector<LabelTableRecord>* label_delta,
                                      std::vector<uint8_t>* image) {
-  using storewire::PutU64;
+  using wire::PutU64;
   if (!base) {
     // An increment is just the staged batch — label deltas ride as messages
     // (the store writes zero store-level label records for us), object
@@ -777,7 +777,7 @@ Result<std::unique_ptr<Node>> BetreeEngine::ReadNode(const Extent& e, uint64_t s
     *mismatch = true;
     return Status::kCorrupt;
   };
-  storewire::Reader r{img.data(), img.size()};
+  wire::Reader r{img.data(), img.size()};
   uint64_t magic = r.U64();
   uint8_t level = r.U8();
   if (r.fail || magic != kNodeMagic) {
@@ -883,7 +883,7 @@ Result<std::unique_ptr<Node>> BetreeEngine::ReadNode(const Extent& e, uint64_t s
   return n;
 }
 
-Status BetreeEngine::LoadSectionBody(bool base, storewire::Reader* r,
+Status BetreeEngine::LoadSectionBody(bool base, wire::Reader* r,
                                      const LabelSink& label_sink, bool* mismatch) {
   if (base) {
     uint64_t off = r->U64();
@@ -950,7 +950,7 @@ Status BetreeEngine::MergeSectionBodies(const std::vector<std::vector<uint8_t>>&
   StoreAlloc::Check();
   MsgBuffer merged;
   for (const std::vector<uint8_t>& body : bodies) {
-    storewire::Reader r{body.data(), body.size()};
+    wire::Reader r{body.data(), body.size()};
     uint32_t n_msgs = r.U32();
     for (uint32_t j = 0; j < n_msgs; ++j) {
       Msg m;

@@ -144,7 +144,7 @@ class BetreeEngine {
   // *mismatch when a base's node fails its checksum or its parent's seal:
   // bytes the commit wrote are not on disk. Any other kCorrupt is a refusal
   // of well-formed bytes.
-  Status LoadSectionBody(bool base, storewire::Reader* r, const LabelSink& label_sink,
+  Status LoadSectionBody(bool base, wire::Reader* r, const LabelSink& label_sink,
                          bool* mismatch);
   // Every heap extent the tree references — reserved in the allocator
   // alongside the section chain.

@@ -15,7 +15,7 @@
 // is retired and never reused, so ParseMsg refuses it like any unknown kind
 // and recovery of a section holding one fails with kCorrupt.
 //
-// Wire format (all little-endian, via storewire):
+// Wire format (all little-endian, via src/core/wire.h):
 //   u8 kind
 //   kUpsert:     u64 id, u64 meta_len, u32 len, u8 bytes[len]
 //   kDelete:     u64 id
@@ -64,20 +64,20 @@ inline size_t MsgWireBytes(const Msg& m) {
 }
 
 inline void SerializeMsg(const Msg& m, std::vector<uint8_t>* out) {
-  storewire::PutU8(out, static_cast<uint8_t>(m.kind));
+  wire::PutU8(out, static_cast<uint8_t>(m.kind));
   switch (m.kind) {
     case MsgKind::kUpsert:
-      storewire::PutU64(out, m.id);
-      storewire::PutU64(out, m.meta_len);
-      storewire::PutU32(out, static_cast<uint32_t>(m.bytes.size()));
+      wire::PutU64(out, m.id);
+      wire::PutU64(out, m.meta_len);
+      wire::PutU32(out, static_cast<uint32_t>(m.bytes.size()));
       out->insert(out->end(), m.bytes.begin(), m.bytes.end());
       break;
     case MsgKind::kDelete:
-      storewire::PutU64(out, m.id);
+      wire::PutU64(out, m.id);
       break;
     case MsgKind::kLabelDelta:
-      storewire::PutU32(out, static_cast<uint32_t>(m.id));
-      storewire::PutU32(out, static_cast<uint32_t>(m.bytes.size()));
+      wire::PutU32(out, static_cast<uint32_t>(m.id));
+      wire::PutU32(out, static_cast<uint32_t>(m.bytes.size()));
       out->insert(out->end(), m.bytes.begin(), m.bytes.end());
       break;
   }
@@ -85,7 +85,7 @@ inline void SerializeMsg(const Msg& m, std::vector<uint8_t>* out) {
 
 // Parses one message. Returns false (and sets r->fail where the image is
 // short) on a malformed kind or a truncated body.
-inline bool ParseMsg(storewire::Reader* r, Msg* out) {
+inline bool ParseMsg(wire::Reader* r, Msg* out) {
   uint8_t k = r->U8();
   if (r->fail) return false;
   switch (static_cast<MsgKind>(k)) {
@@ -187,7 +187,7 @@ class MsgBuffer {
 
   // Labels first, then objects, both ascending (see header comment).
   void Serialize(std::vector<uint8_t>* out) const {
-    storewire::PutU32(out, static_cast<uint32_t>(count()));
+    wire::PutU32(out, static_cast<uint32_t>(count()));
     for (const auto& [id, bytes] : labels_) {
       Msg m;
       m.kind = MsgKind::kLabelDelta;

@@ -10,9 +10,9 @@
 
 namespace histar {
 
-using storewire::PutU32;
-using storewire::PutU64;
-using storewire::PutU8;
+using wire::PutU32;
+using wire::PutU64;
+using wire::PutU8;
 
 namespace {
 
@@ -147,18 +147,30 @@ Status SingleLevelStore::WriteSuperblock(bool blank_slot_b) {
 Status SingleLevelStore::ReadSuperblocks(std::vector<SlotCopy>* out) {
   out->clear();
   for (uint64_t slot : {uint64_t{0}, uint64_t{4096}}) {
+    // A slot that fails to read or to validate is read once more, to rule
+    // out a transient read fault: skipping it would boot the other slot and
+    // lose the newer commit on an intact disk. A blank slot (Format zeroes
+    // slot B) is not: every boot before the second commit would pay for it.
     SlotCopy c;
     c.slot = slot;
-    if (disk_->Read(slot, &c.sb, sizeof(c.sb)) != Status::kOk) {
-      continue;
+    bool valid = false;
+    for (int attempt = 0; attempt < 2 && !valid; ++attempt) {
+      if (disk_->Read(slot, &c.sb, sizeof(c.sb)) != Status::kOk) {
+        continue;
+      }
+      uint64_t want = c.sb.checksum;
+      c.sb.checksum = 0;
+      valid = c.sb.magic == kMagic && Checksum(&c.sb, sizeof(c.sb)) == want;
+      c.sb.checksum = want;
+      if (!valid && std::all_of(reinterpret_cast<const uint8_t*>(&c.sb),
+                                reinterpret_cast<const uint8_t*>(&c.sb + 1),
+                                [](uint8_t b) { return b == 0; })) {
+        break;
+      }
     }
-    uint64_t want = c.sb.checksum;
-    c.sb.checksum = 0;
-    if (c.sb.magic != kMagic || Checksum(&c.sb, sizeof(c.sb)) != want) {
-      continue;
+    if (valid) {
+      out->push_back(c);
     }
-    c.sb.checksum = want;
-    out->push_back(c);
   }
   if (out->empty()) {
     return Status::kNotFound;
@@ -197,7 +209,7 @@ Status SingleLevelStore::FoldChain() {
     if (Checksum(image.data(), image.size() - 8) != want) {
       return Status::kCorrupt;
     }
-    storewire::Reader r{image.data(), image.size() - 8};
+    wire::Reader r{image.data(), image.size() - 8};
     uint64_t magic = r.U64();
     uint64_t epoch = r.U64();
     uint8_t kind = r.U8();
@@ -588,7 +600,7 @@ Status SingleLevelStore::ReplayChain(const Superblock& sb, bool* mismatch) {
     }
     uint64_t want;
     memcpy(&want, image.data() + image.size() - 8, 8);
-    storewire::Reader r{image.data(), image.size() - 8};
+    wire::Reader r{image.data(), image.size() - 8};
     uint64_t magic = r.U64();
     uint64_t epoch = r.U64();
     uint8_t kind = r.U8();

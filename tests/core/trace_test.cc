@@ -1,6 +1,6 @@
 // Tests for the flight recorder (src/core/trace.h): histogram bucket
 // boundaries (pinned — dashboards depend on them), ring wrap, slot reuse
-// after thread exit, group duration patching, and the crash-dump format.
+// after thread exit, staged syscall groups, and the crash-dump format.
 //
 // These tests exercise the recorder directly; the kernel-integrated path
 // (label stamping + the sys_trace_read flow check) lives in
@@ -105,7 +105,7 @@ TEST(Recorder, SlotIsReusedAfterThreadExit) {
   EXPECT_EQ(mine.back().event.a, 2u);
 }
 
-TEST(Recorder, FinishSyscallGroupPatchesAmortizedDurations) {
+TEST(Recorder, CloseSyscallGroupWritesAmortizedDurations) {
   // Use a syscall-kind row no real syscall occupies (the last one) so the
   // histogram delta below is exactly this test's.
   const uint16_t kind = kMaxSyscallHist - 1;
@@ -117,11 +117,13 @@ TEST(Recorder, FinishSyscallGroupPatchesAmortizedDurations) {
   const uint64_t t0 = 1000;
   const uint64_t t1 = t0 + 3 * 4096;  // 4096 ns per event, bucket 12
   ResetTaint();
-  uint64_t group = BeginSyscallGroup();
-  RecordSyscall(kind, /*status=*/0, /*self_or_b=*/42, t0);
-  RecordSyscall(kind, /*status=*/0, /*self_or_b=*/42, t0);
-  RecordSyscall(kind, /*status=*/0, /*self_or_b=*/42, t0);
-  FinishSyscallGroup(group, t0, t1);
+  ASSERT_EQ(StagedSyscalls(), 0u);
+  StageSyscall(kind, /*status=*/0);
+  StageSyscall(kind, /*status=*/0);
+  StageSyscall(kind, /*status=*/0);
+  EXPECT_EQ(StagedSyscalls(), 3u);
+  CloseSyscallGroup(/*self=*/42, t0, t1);
+  EXPECT_EQ(StagedSyscalls(), 0u);
 
   uint64_t after[kHistBuckets] = {};
   SumSyscallHist(kind, after);
@@ -129,45 +131,24 @@ TEST(Recorder, FinishSyscallGroupPatchesAmortizedDurations) {
 
   std::vector<SlotEvent> all;
   Snapshot(&all);
-  size_t patched = 0;
+  size_t written = 0;
   for (const SlotEvent& se : all) {
     if (se.slot == slot && se.event.kind == static_cast<uint8_t>(EventKind::kSyscall) &&
         se.event.aux == kind && se.event.ts_ns == t0) {
       EXPECT_EQ(se.event.dur_ns, 4096u);
-      ++patched;
+      EXPECT_EQ(se.event.b, 42u);
+      ++written;
     }
   }
-  EXPECT_EQ(patched, 3u);
+  EXPECT_EQ(written, 3u);
 }
 
-TEST(Recorder, PendingDurationReadsAsZero) {
-  const uint16_t kind = kMaxSyscallHist - 2;
-  const size_t slot = Recorder::CurrentSlot();
-  const uint64_t ts = 777777;
-  ResetTaint();
-  uint64_t group = BeginSyscallGroup();
-  RecordSyscall(kind, /*status=*/0, /*self_or_b=*/7, ts);
-  // No FinishSyscallGroup: the in-ring sentinel must not leak to readers.
-  std::vector<SlotEvent> all;
-  Snapshot(&all);
-  bool found = false;
-  for (const SlotEvent& se : all) {
-    if (se.slot == slot && se.event.aux == kind && se.event.ts_ns == ts) {
-      EXPECT_EQ(se.event.dur_ns, 0u);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-  FinishSyscallGroup(group, ts, ts + 1);  // close it out for later tests
-}
-
-TEST(Recorder, GroupPatchingSurvivesUnboundedInterleavedEvents) {
-  // A dispatch group can interleave arbitrarily many non-syscall events
+TEST(Recorder, CloseIsExactUnderUnboundedInterleavedEvents) {
+  // A dispatch group can record arbitrarily many non-syscall events
   // (epoch retires/advances, fault events recorded inside ExecLocked)
-  // between its syscall events. The old bounded backward scan (count + 16)
-  // stopped early past 16 of them, leaving syscall events kDurPending
-  // forever and the histograms silently short; the exact [start, head)
-  // range must patch every one.
+  // between its staged syscall events. They go straight to the ring; the
+  // staged events must still all land, each with the group's share, and
+  // the histograms must count every one.
   const uint16_t kind = kMaxSyscallHist - 3;
   const size_t slot = Recorder::CurrentSlot();
   uint64_t before[kHistBuckets] = {};
@@ -176,13 +157,12 @@ TEST(Recorder, GroupPatchingSurvivesUnboundedInterleavedEvents) {
   const uint64_t t0 = 50000;
   const uint64_t t1 = t0 + 2 * 1024;  // 1024 ns per syscall event
   ResetTaint();
-  uint64_t group = BeginSyscallGroup();
-  RecordSyscall(kind, /*status=*/0, /*self_or_b=*/1, t0);
-  for (uint64_t i = 0; i < 40; ++i) {  // far past the old 16-event cap
+  StageSyscall(kind, /*status=*/0);
+  for (uint64_t i = 0; i < 40; ++i) {
     RecordEvent(EventKind::kEpochRetire, /*a=*/i, /*b=*/0, /*c=*/0, 0, 0, 0, t0);
   }
-  RecordSyscall(kind, /*status=*/0, /*self_or_b=*/2, t0);
-  FinishSyscallGroup(group, t0, t1);
+  StageSyscall(kind, /*status=*/0);
+  CloseSyscallGroup(/*self=*/1, t0, t1);
 
   uint64_t after[kHistBuckets] = {};
   SumSyscallHist(kind, after);
@@ -190,16 +170,25 @@ TEST(Recorder, GroupPatchingSurvivesUnboundedInterleavedEvents) {
 
   std::vector<SlotEvent> all;
   Snapshot(&all);
-  size_t patched = 0;
+  std::vector<uint64_t> retire_seqs;
+  std::vector<uint64_t> syscall_seqs;
   for (const SlotEvent& se : all) {
-    if (se.slot == slot &&
-        se.event.kind == static_cast<uint8_t>(EventKind::kSyscall) &&
-        se.event.aux == kind && se.event.ts_ns == t0) {
+    if (se.slot != slot || se.event.ts_ns != t0) {
+      continue;
+    }
+    if (se.event.kind == static_cast<uint8_t>(EventKind::kEpochRetire)) {
+      retire_seqs.push_back(se.seq);
+    } else if (se.event.kind == static_cast<uint8_t>(EventKind::kSyscall) &&
+               se.event.aux == kind) {
       EXPECT_EQ(se.event.dur_ns, 1024u);
-      ++patched;
+      syscall_seqs.push_back(se.seq);
     }
   }
-  EXPECT_EQ(patched, 2u);
+  ASSERT_EQ(retire_seqs.size(), 40u);
+  ASSERT_EQ(syscall_seqs.size(), 2u);
+  // The group's syscall events land when it closes, after everything it
+  // recorded directly.
+  EXPECT_GT(syscall_seqs.front(), retire_seqs.back());
 }
 
 TEST(Recorder, SnapshotDropsTheEventTheWriterMayBeOverwriting) {

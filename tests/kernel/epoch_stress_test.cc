@@ -238,7 +238,6 @@ TEST_F(EpochStressTest, TraceSnapshotsRaceRecordingWriters) {
         trace::Snapshot(&snap, 128);
         for (const trace::SlotEvent& se : snap) {
           ASSERT_LT(se.event.kind, trace::kNumEventKinds);
-          ASSERT_NE(se.event.dur_ns, trace::kDurPending);
         }
         uint64_t hist[trace::kHistBuckets];
         trace::SumSyscallHist(0, hist);

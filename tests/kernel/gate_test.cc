@@ -2,6 +2,11 @@
 // including the Figure 7 gate-call sequence and tainted invocation.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+#include <vector>
+
+#include "src/core/trace.h"
 #include "tests/kernel/kernel_test_util.h"
 
 namespace histar {
@@ -273,6 +278,64 @@ TEST_F(GateTest, ClosureWordsArePassedThrough) {
                                                                         RootEntry(g.value()));
   ASSERT_TRUE(via_sys.ok());
   EXPECT_EQ(via_sys.value(), (std::vector<uint64_t>{7, 8, 9}));
+}
+
+TEST_F(GateTest, NestedGroupsLandBeforeTheGateEventWithTheirOwnDurations) {
+  // A gate's entry issues syscalls of its own. Each closes its own trace
+  // group while the gate call is still running; the gate stages its event
+  // only after the entry returns, so the nested events land first and the
+  // gate's event alone carries the whole call's duration.
+  if (!HISTAR_TRACE) {
+    GTEST_SKIP() << "recording compiled out";
+  }
+  constexpr uint64_t kPauseNs = 5'000'000;
+  ObjectId seg = MakeSegment(Label(), 64);
+  kernel_->RegisterGateEntry("nested", [&](GateCall& call) {
+    EXPECT_TRUE(call.kernel->sys_segment_get_len(call.thread, RootEntry(seg)).ok());
+    std::this_thread::sleep_for(std::chrono::nanoseconds(kPauseNs));
+    EXPECT_TRUE(call.kernel->sys_obj_get_type(call.thread, RootEntry(seg)).ok());
+  });
+  CreateSpec spec;
+  spec.container = kernel_->root_container();
+  Result<ObjectId> g =
+      kernel_->sys_gate_create(init_, spec, Label(), Label(Level::k2), "nested", {});
+  ASSERT_TRUE(g.ok());
+
+  const size_t slot = trace::Recorder::CurrentSlot();
+  auto syscalls_after = [slot](uint64_t seq) {
+    std::vector<trace::SlotEvent> all;
+    trace::Snapshot(&all);
+    std::vector<trace::Event> out;
+    for (const trace::SlotEvent& se : all) {
+      if (se.slot == slot && se.seq >= seq &&
+          se.event.kind == static_cast<uint8_t>(trace::EventKind::kSyscall)) {
+        out.push_back(se.event);
+      }
+    }
+    return out;
+  };
+  std::vector<trace::SlotEvent> before;
+  trace::Snapshot(&before);
+  uint64_t start = 0;
+  for (const trace::SlotEvent& se : before) {
+    if (se.slot == slot) {
+      start = se.seq + 1;
+    }
+  }
+
+  ASSERT_EQ(kernel_->sys_gate_invoke(init_, RootEntry(g.value()), Label(), Label(Level::k2),
+                                     Label()),
+            Status::kOk);
+  std::vector<trace::Event> events = syscalls_after(start);
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].aux, SyscallReq{SegmentGetLenReq{}}.index());
+  EXPECT_EQ(events[1].aux, SyscallReq{ObjGetTypeReq{}}.index());
+  EXPECT_EQ(events[2].aux, SyscallReq{GateInvokeReq{}}.index());
+  // Each nested group is timed alone; the gate's span covers the pause.
+  EXPECT_LT(events[0].dur_ns, kPauseNs);
+  EXPECT_LT(events[1].dur_ns, kPauseNs);
+  EXPECT_GE(events[2].dur_ns, kPauseNs);
+  EXPECT_GE(events[1].ts_ns, events[0].ts_ns + kPauseNs);
 }
 
 }  // namespace

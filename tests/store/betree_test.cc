@@ -96,7 +96,7 @@ TEST(BetreeMsg, WireRoundTripAllKinds) {
     SerializeMsg(m, &wire);
     EXPECT_EQ(wire.size() - before, MsgWireBytes(m));
   }
-  storewire::Reader r{wire.data(), wire.size()};
+  wire::Reader r{wire.data(), wire.size()};
   for (const Msg& want : in) {
     Msg got;
     ASSERT_TRUE(ParseMsg(&r, &got));
@@ -108,7 +108,7 @@ TEST(BetreeMsg, WireRoundTripAllKinds) {
   EXPECT_EQ(r.pos, wire.size());
 
   // Truncation anywhere inside the last message fails cleanly.
-  storewire::Reader t{wire.data(), wire.size() - 1};
+  wire::Reader t{wire.data(), wire.size() - 1};
   Msg m;
   ASSERT_TRUE(ParseMsg(&t, &m));
   ASSERT_TRUE(ParseMsg(&t, &m));
@@ -121,9 +121,9 @@ TEST(BetreeMsg, ParseRefusesRetiredAndUnknownKinds) {
   // old shape (u64 id, u64 meta_len).
   for (uint8_t kind : {uint8_t{0}, uint8_t{4}, uint8_t{5}, uint8_t{0xff}}) {
     std::vector<uint8_t> wire = {kind};
-    storewire::PutU64(&wire, 44);
-    storewire::PutU64(&wire, 16);
-    storewire::Reader r{wire.data(), wire.size()};
+    wire::PutU64(&wire, 44);
+    wire::PutU64(&wire, 16);
+    wire::Reader r{wire.data(), wire.size()};
     Msg m;
     EXPECT_FALSE(ParseMsg(&r, &m)) << "kind " << int{kind};
     EXPECT_TRUE(r.fail) << "kind " << int{kind};
@@ -175,7 +175,7 @@ TEST(BetreeMsg, MergeBodiesEquivalentToSequentialReplay) {
   std::vector<uint8_t> merged_wire;
   ASSERT_EQ(engine.MergeSectionBodies(bodies, &merged_wire), Status::kOk);
 
-  storewire::Reader r{merged_wire.data(), merged_wire.size()};
+  wire::Reader r{merged_wire.data(), merged_wire.size()};
   uint32_t n = r.U32();
   MsgBuffer merged;
   for (uint32_t i = 0; i < n; ++i) {

@@ -17,7 +17,8 @@
 //  * a stale, checksum-valid section of the same length at the newest
 //    extent is caught by its epoch, and a stale node at a recycled extent
 //    by its seal, not replayed;
-//  * a one-shot read bit flip on the newest section still boots it.
+//  * a one-shot read bit flip on the newest section, or on the newer
+//    superblock, still boots it.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -74,7 +75,7 @@ void ZeroExtent(DiskModel* disk, const Extent& e) {
 // root_len.
 Extent BaseRootNode(DiskModel* disk, const Extent& base) {
   std::vector<uint8_t> image = ReadExtent(disk, base);
-  storewire::Reader r{image.data(), image.size() - 8};
+  wire::Reader r{image.data(), image.size() - 8};
   r.U64();
   r.U64();
   r.U8();
@@ -339,6 +340,47 @@ TEST_F(OneBarrierRecoveryTest, TransientReadFlipOnNewestSectionIsReadAgain) {
   ASSERT_EQ(r.status, Status::kOk);
   EXPECT_EQ(WorldImage(*r.kernel), newest_world);
   EXPECT_EQ(r.store->epoch(), store_->epoch());
+}
+
+TEST_F(OneBarrierRecoveryTest, TransientReadFlipOnNewerSuperblockIsReadAgain) {
+  ObjectId seg = MakeSegment(Label(), 64);
+  CommitStamp(seg, 1);
+  CommitStamp(seg, 2);
+  ASSERT_EQ(store_->epoch(), 2u);
+  WorldMap newest_world = WorldImage(*kernel_);
+
+  // Format wrote slot A, the first sync slot B, the second slot A again:
+  // the newer superblock is at offset 0. One read of it returns a flipped
+  // bit; the disk itself is intact.
+  FaultPlan plan;
+  FaultRule rule;
+  rule.kind = FaultKind::kBitFlip;
+  rule.on_read = true;
+  rule.offset_lo = 0;
+  rule.offset_hi = 1;
+  rule.arg = 8 * 8 + 3;  // a bit of the generation word
+  plan.rules.push_back(rule);
+  disk_->SetFaultPlan(std::move(plan));
+
+  RebootResult r = RebootFromDisk(disk_.get(), tuning_);
+  EXPECT_EQ(disk_->faults_injected(FaultKind::kBitFlip), 1u);
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(r.store->epoch(), 2u);
+  EXPECT_EQ(WorldImage(*r.kernel), newest_world);
+}
+
+TEST_F(OneBarrierRecoveryTest, BlankSuperblockSlotIsReadOnce) {
+  // After Format, slot B is zeroed: a boot reads it once. The same slot
+  // holding non-blank bytes that fail validation is read a second time.
+  auto boot_reads = [&] {
+    uint64_t before = disk_->read_ops();
+    EXPECT_EQ(RebootFromDisk(disk_.get(), tuning_).status, Status::kOk);
+    return disk_->read_ops() - before;
+  };
+  uint64_t blank = boot_reads();
+  uint64_t junk = 0x5a5a5a5a5a5a5a5aULL;
+  ASSERT_EQ(disk_->Write(4096, &junk, sizeof(junk)), Status::kOk);
+  EXPECT_EQ(boot_reads(), blank + 1);
 }
 
 TEST_F(OneBarrierRecoveryTest, MismatchInBothSlotsIsCorrupt) {
